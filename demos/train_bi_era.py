@@ -9,7 +9,7 @@ behavior, then the held-out sentences are scored.
 import dataclasses
 
 from eraseg.config import Config
-from eraseg.corpus import TAGS, bmes_to_words, make_synthetic_corpus
+from eraseg.corpus import make_synthetic_corpus
 from eraseg.metrics import era_accuracy, score_segmentation
 from eraseg.trainer import (
     predict_sentence,
@@ -52,9 +52,9 @@ print(f"  classifier's choice (era {auto.era}): {' '.join(auto.words)}")
 gold, pred, gold_eras, pred_eras = [], [], [], []
 for sent in test_corpus.sentences:
     prep = prepare_sentence(sent.words, sent.era_id, ckpt.vocab, ckpt.lexicons, config.max_ngram)
-    tags, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
+    words, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
     gold.append(list(sent.words))
-    pred.append(list(bmes_to_words(prep.chars, [TAGS[t] for t in tags])))
+    pred.append(list(words))
     gold_eras.append(sent.era_id)
     pred_eras.append(era)
 score = score_segmentation(gold, pred)

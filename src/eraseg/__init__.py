@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .config import Config
 from .corpus import (
-    LabeledSentence,
     RawCorpus,
     RawSentence,
     Vocab,
@@ -27,7 +26,6 @@ from .trainer import Checkpoint, Segmentation, segment, split_corpus, train
 
 __all__ = [
     "Config",
-    "LabeledSentence",
     "RawCorpus",
     "RawSentence",
     "Vocab",

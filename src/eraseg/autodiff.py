@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over 2D float64 arrays.
 
 Graphs are built define-by-run: every op returns a new Tensor holding its
-value, its parent tensors, and a closure that pushes gradients back to the
-parents.  backward() walks the graph once in reverse topological order.
-Graphs are rebuilt per example; only leaf tensors (parameters) survive
-between runs, accumulating into .grad until zero_grad().
+value, its parent tensors, and a closure that takes the op's output
+gradient and pushes it back to the parents.  The closure never refers to
+its own output tensor, so a graph holds no reference cycle and is freed by
+reference counting as soon as its root is dropped.  backward() walks the
+graph once in reverse topological order.  Graphs are rebuilt per example;
+only leaf tensors (parameters) survive between runs, accumulating into
+.grad until zero_grad().  An op's output gets its .grad buffer only when a
+backward pass reaches it, so forward-only graphs allocate none.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ class Tensor:
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2D, got shape {arr.shape}")
         self.value = arr
-        self.grad = np.zeros_like(arr)
+        self.grad = None if parents else np.zeros(arr.shape)
         self.name = name
         self._parents = parents
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._backward_done = False
 
     @property
@@ -40,7 +44,8 @@ class Tensor:
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def backward(self) -> None:
         """Accumulate dself/dleaf into every reachable tensor's .grad."""
@@ -49,10 +54,15 @@ class Tensor:
         if self._backward_done:
             raise RuntimeError("backward already ran for this graph root")
         self._backward_done = True
+        order = _topo_order(self)
+        for node in order:
+            if node.grad is None:
+                node.grad = np.zeros(node.value.shape)
         self.grad[...] = 1.0
-        for node in reversed(_topo_order(self)):
-            if node._backward is not None:
-                node._backward()
+        for node in reversed(order):
+            fn = node._backward
+            if fn is not None:
+                fn(node.grad)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -62,21 +72,23 @@ class Tensor:
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS: per-sentence graphs run long chains (hundreds of
     # timestep ops) that would blow the recursion limit.
+    # Tensors hash by identity.
     order: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
+    pop, push, mark = stack.pop, stack.append, visited.add
     while stack:
-        node, expanded = stack.pop()
+        node, expanded = pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
+        mark(node)
+        push((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+            if parent not in visited:
+                push((parent, False))
     return order
 
 
@@ -108,6 +120,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    if a.value.shape == b.value.shape:
+        return
     for da, db in zip(a.shape, b.shape):
         if da != db and da != 1 and db != 1:
             raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
@@ -118,9 +132,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
     out = Tensor(a.value + b.value, parents=(a, b))
 
-    def backward():
-        a.grad += _unbroadcast(out.grad, a.shape)
-        b.grad += _unbroadcast(out.grad, b.shape)
+    def backward(g):
+        a.grad += _unbroadcast(g, a.shape)
+        b.grad += _unbroadcast(g, b.shape)
 
     out._backward = backward
     return out
@@ -131,9 +145,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
     out = Tensor(a.value - b.value, parents=(a, b))
 
-    def backward():
-        a.grad += _unbroadcast(out.grad, a.shape)
-        b.grad -= _unbroadcast(out.grad, b.shape)
+    def backward(g):
+        a.grad += _unbroadcast(g, a.shape)
+        b.grad -= _unbroadcast(g, b.shape)
 
     out._backward = backward
     return out
@@ -144,9 +158,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
     out = Tensor(a.value * b.value, parents=(a, b))
 
-    def backward():
-        a.grad += _unbroadcast(out.grad * b.value, a.shape)
-        b.grad += _unbroadcast(out.grad * a.value, b.shape)
+    def backward(g):
+        a.grad += _unbroadcast(g * b.value, a.shape)
+        b.grad += _unbroadcast(g * a.value, b.shape)
 
     out._backward = backward
     return out
@@ -157,8 +171,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.value * c, parents=(a,))
 
-    def backward():
-        a.grad += out.grad * c
+    def backward(g):
+        a.grad += g * c
 
     out._backward = backward
     return out
@@ -169,9 +183,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = Tensor(a.value @ b.value, parents=(a, b))
 
-    def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+    def backward(g):
+        a.grad += g @ b.value.T
+        b.grad += a.value.T @ g
 
     out._backward = backward
     return out
@@ -180,8 +194,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.value.T.copy(), parents=(a,))
 
-    def backward():
-        a.grad += out.grad.T
+    def backward(g):
+        a.grad += g.T
 
     out._backward = backward
     return out
@@ -197,11 +211,11 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         raise ValueError(f"concat_cols: row counts differ: {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.value for p in parts], axis=1), parents=parts)
 
-    def backward():
+    def backward(g):
         col = 0
         for p in parts:
             w = p.shape[1]
-            p.grad += out.grad[:, col : col + w]
+            p.grad += g[:, col : col + w]
             col += w
 
     out._backward = backward
@@ -218,11 +232,11 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         raise ValueError(f"concat_rows: column counts differ: {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.value for p in parts], axis=0), parents=parts)
 
-    def backward():
+    def backward(g):
         row = 0
         for p in parts:
             h = p.shape[0]
-            p.grad += out.grad[row : row + h, :]
+            p.grad += g[row : row + h, :]
             row += h
 
     out._backward = backward
@@ -234,8 +248,8 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"slice_cols[{start}:{stop}] out of range for {a.shape}")
     out = Tensor(a.value[:, start:stop].copy(), parents=(a,))
 
-    def backward():
-        a.grad[:, start:stop] += out.grad
+    def backward(g):
+        a.grad[:, start:stop] += g
 
     out._backward = backward
     return out
@@ -251,8 +265,8 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
         raise ValueError(f"gather_rows: index out of range for {a.shape}: {idx}")
     out = Tensor(a.value[idx, :], parents=(a,))
 
-    def backward():
-        np.add.at(a.grad, idx, out.grad)
+    def backward(g):
+        np.add.at(a.grad, idx, g)
 
     out._backward = backward
     return out
@@ -265,8 +279,8 @@ def pick(a: Tensor, i: int, j: int) -> Tensor:
         raise ValueError(f"pick({i},{j}) out of range for {a.shape}")
     out = Tensor(a.value[i : i + 1, j : j + 1].copy(), parents=(a,))
 
-    def backward():
-        a.grad[i, j] += out.grad[0, 0]
+    def backward(g):
+        a.grad[i, j] += g[0, 0]
 
     out._backward = backward
     return out
@@ -275,8 +289,8 @@ def pick(a: Tensor, i: int, j: int) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.array([[a.value.sum()]]), parents=(a,))
 
-    def backward():
-        a.grad += out.grad[0, 0]
+    def backward(g):
+        a.grad += g[0, 0]
 
     out._backward = backward
     return out
@@ -286,24 +300,23 @@ def tanh(a: Tensor) -> Tensor:
     val = np.tanh(a.value)
     out = Tensor(val, parents=(a,))
 
-    def backward():
-        a.grad += out.grad * (1.0 - val * val)
+    def backward(g):
+        a.grad += g * (1.0 - val * val)
 
     out._backward = backward
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Piecewise form keeps exp() off large positive arguments.
-    val = np.where(
-        a.value >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(a.value, 0, None))),
-        np.exp(np.clip(a.value, None, 0)) / (1.0 + np.exp(np.clip(a.value, None, 0))),
-    )
+    # Piecewise form keeps exp() off large positive arguments: with
+    # e = exp(-|x|), x >= 0 gives 1 / (1 + exp(-x)) and x < 0 gives
+    # exp(x) / (1 + exp(x)).
+    e = np.exp(-np.abs(a.value))
+    val = np.where(a.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(val, parents=(a,))
 
-    def backward():
-        a.grad += out.grad * val * (1.0 - val)
+    def backward(g):
+        a.grad += g * val * (1.0 - val)
 
     out._backward = backward
     return out
@@ -320,8 +333,7 @@ def softmax_row(a: Tensor) -> Tensor:
     p = _row_softmax(a.value)
     out = Tensor(p, parents=(a,))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         a.grad += p * (g - dot)
 
@@ -336,8 +348,7 @@ def log_softmax_row(a: Tensor) -> Tensor:
     out = Tensor(shifted - lse, parents=(a,))
     p = _row_softmax(a.value)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         a.grad += g - p * g.sum(axis=1, keepdims=True)
 
     out._backward = backward
@@ -351,8 +362,8 @@ def logsumexp_row(a: Tensor) -> Tensor:
     out = Tensor(out_val, parents=(a,))
     p = _row_softmax(a.value)
 
-    def backward():
-        a.grad += out.grad * p
+    def backward(g):
+        a.grad += g * p
 
     out._backward = backward
     return out

@@ -9,11 +9,12 @@ error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
-from .config import Config, load_config
-from .corpus import TAGS, RawCorpus, bmes_to_words, load_corpus
+from .config import FUSION_MODES, SWITCH_MODES, Config, load_config
+from .corpus import RawCorpus, load_corpus
 from .errors import ConfigError, DataError, NumericError
 from .lexicon import build_lexicon, load_lexicon
 from .metrics import era_accuracy, format_report, oov_recall, score_segmentation
@@ -34,7 +35,7 @@ EXIT_NUMERIC = 3
 DEV_FRACTION = 0.1
 
 ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
-MODE_GRID = (("hard", "sum"), ("hard", "concat"), ("soft", "sum"), ("soft", "concat"))
+MODE_GRID = tuple(itertools.product(SWITCH_MODES, FUSION_MODES))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,9 +195,9 @@ def cmd_eval(args) -> int:
         prep = prepare_sentence(
             sent.words, sent.era_id, ckpt.vocab, ckpt.lexicons, ckpt.config.max_ngram
         )
-        tags, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
+        words, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
         gold_words.append(list(sent.words))
-        pred_words.append(list(bmes_to_words(prep.chars, [TAGS[t] for t in tags])))
+        pred_words.append(list(words))
         gold_eras.append(sent.era_id)
         pred_eras.append(era)
 
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--alpha", type=float, help="loss interpolation weight")
         p.add_argument("--seed", type=int, help="PRNG seed")
-        p.add_argument("--mode", choices=("hard", "soft"), help="switch mode")
+        p.add_argument("--mode", choices=SWITCH_MODES, help="switch mode")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
 
     p = sub.add_parser("build-dict", help="build one dictionary file per era")

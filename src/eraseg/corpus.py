@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .config import Config
 from .errors import DataError
 
 TAGS = ("B", "M", "E", "S")
@@ -28,9 +29,6 @@ LAT_TOKEN = ""
 NUM_TOKEN = ""
 PUNC_TOKEN = ""
 RESERVED_TOKENS = (LAT_TOKEN, NUM_TOKEN, PUNC_TOKEN)
-TOKEN_DISPLAY = {LAT_TOKEN: "<LAT>", NUM_TOKEN: "<NUM>", PUNC_TOKEN: "<PUNC>"}
-
-DEFAULT_MAX_LEN = 126
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,6 @@ class RawCorpus:
     def era_ids(self) -> set[int]:
         return {s.era_id for s in self.sentences}
 
-    def filter_era(self, era_id: int) -> "RawCorpus":
-        kept = tuple(s for s in self.sentences if s.era_id == era_id)
-        return RawCorpus(kept, f"{self.source_name}[era={era_id}]")
-
     def word_types(self) -> set[str]:
         return {w for s in self.sentences for w in s.words}
 
@@ -80,22 +74,6 @@ def words_to_bmes(words: Sequence[str]) -> tuple[str, ...]:
             tags.extend("M" * (len(word) - 2))
             tags.append("E")
     return tuple(tags)
-
-
-def is_valid_bmes(tags: Sequence[str]) -> bool:
-    """True iff the tag sequence is in the image of words_to_bmes."""
-    if not tags:
-        return False
-    if any(t not in TAG_TO_ID for t in tags):
-        return False
-    if tags[0] not in ("B", "S") or tags[-1] not in ("E", "S"):
-        return False
-    for prev, cur in zip(tags, tags[1:]):
-        if prev in ("B", "M") and cur not in ("M", "E"):
-            return False
-        if prev in ("E", "S") and cur not in ("B", "S"):
-            return False
-    return True
 
 
 def bmes_to_words(chars: Sequence[str], tags: Sequence[str]) -> tuple[str, ...]:
@@ -161,30 +139,34 @@ def preprocess(text: str) -> str:
 
 
 def _split_long(words: list[str], max_len: int) -> list[list[str]]:
-    """Split a sentence that exceeds max_len characters at word boundaries,
-    preferring the boundary after the last punctuation token before the limit.
+    """Split a sentence that exceeds max_len characters at word boundaries.
+
+    Each chunk ends after the last punctuation token that fits within
+    max_len characters, or else after the last word that fits.
     """
-    total = sum(len(w) for w in words)
-    if total <= max_len:
-        return [words]
-    # Find the cut position (index after a word) within the limit.
-    acc = 0
-    last_fit = 0
-    last_punct = 0
-    for i, w in enumerate(words):
-        if acc + len(w) > max_len:
-            break
-        acc += len(w)
-        last_fit = i + 1
-        if w.endswith(PUNC_TOKEN):
-            last_punct = i + 1
-    cut = last_punct or last_fit
-    if cut == 0:
-        raise DataError(f"single word longer than max sentence length {max_len}")
-    return [words[:cut]] + _split_long(words[cut:], max_len)
+    chunks: list[list[str]] = []
+    start = 0
+    while True:
+        acc = 0
+        last_fit = last_punct = start
+        for i in range(start, len(words)):
+            if acc + len(words[i]) > max_len:
+                break
+            acc += len(words[i])
+            last_fit = i + 1
+            if words[i].endswith(PUNC_TOKEN):
+                last_punct = i + 1
+        else:  # the rest fits
+            chunks.append(words[start:])
+            return chunks
+        cut = last_punct if last_punct > start else last_fit
+        if cut == start:
+            raise DataError(f"single word longer than max sentence length {max_len}")
+        chunks.append(words[start:cut])
+        start = cut
 
 
-def load_corpus(path: str | Path, era_id: int, max_len: int = DEFAULT_MAX_LEN) -> RawCorpus:
+def load_corpus(path: str | Path, era_id: int, max_len: int = Config.max_len) -> RawCorpus:
     """Load a segmented corpus file, preprocessing every word.
 
     Empty lines are skipped.  Over-long sentences are split (see _split_long).
@@ -207,37 +189,6 @@ def load_corpus(path: str | Path, era_id: int, max_len: int = DEFAULT_MAX_LEN) -
         for chunk in _split_long(words, max_len):
             sentences.append(RawSentence(tuple(chunk), era_id))
     return RawCorpus(tuple(sentences), source_name=str(path))
-
-
-@dataclass(frozen=True)
-class LabeledSentence:
-    """A character sequence with optional gold tags and era id."""
-
-    chars: tuple[str, ...]
-    tags: tuple[str, ...] | None = None
-    era_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.chars:
-            raise DataError("empty sentence")
-        if self.tags is not None:
-            if len(self.tags) != len(self.chars):
-                raise DataError(
-                    f"tag/char length mismatch: {len(self.tags)} vs {len(self.chars)}"
-                )
-            if not is_valid_bmes(self.tags):
-                raise DataError(f"structurally invalid tag sequence {self.tags}")
-
-    @classmethod
-    def from_words(cls, words: Sequence[str], era_id: int | None = None) -> "LabeledSentence":
-        chars = tuple(ch for w in words for ch in w)
-        return cls(chars=chars, tags=words_to_bmes(words), era_id=era_id)
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        if self.tags is None:
-            raise DataError("sentence has no tags")
-        return bmes_to_words(self.chars, self.tags)
 
 
 class Vocab:

@@ -30,63 +30,13 @@ class Candidate(NamedTuple):
     value_class: int
 
 
-class Trie:
-    """Prefix tree over dictionary words; nodes are plain dicts."""
-
-    __slots__ = ("_root", "_size")
-
-    _LEAF = ""  # sentinel key marking end-of-word
-
-    def __init__(self, words: Iterable[str] = ()):
-        self._root: dict = {}
-        self._size = 0
-        for w in words:
-            self.insert(w)
-
-    def insert(self, word: str) -> None:
-        node = self._root
-        for ch in word:
-            node = node.setdefault(ch, {})
-        if self._LEAF not in node:
-            node[self._LEAF] = True
-            self._size += 1
-
-    def __contains__(self, word: str) -> bool:
-        node = self._root
-        for ch in word:
-            node = node.get(ch)
-            if node is None:
-                return False
-        return self._LEAF in node
-
-    def __len__(self) -> int:
-        return self._size
-
-    def matches_from(self, chars: Sequence[str], start: int, max_len: int) -> list[int]:
-        """Lengths n (ascending) such that chars[start:start+n] is a word."""
-        node = self._root
-        lengths: list[int] = []
-        for n in range(1, max_len + 1):
-            pos = start + n - 1
-            if pos >= len(chars):
-                break
-            node = node.get(chars[pos])
-            if node is None:
-                break
-            if self._LEAF in node:
-                lengths.append(n)
-        return lengths
-
-
 @dataclass(frozen=True)
 class EraLexicon:
-    """One era's dictionary: word set, trie index, dense key-embedding ids."""
+    """One era's dictionary: sorted words and their dense key-embedding ids."""
 
     era_id: int
-    words: frozenset[str]
     word_ids: dict[str, int] = field(repr=False)
     id_to_word: tuple[str, ...] = field(repr=False)
-    trie: Trie = field(repr=False)
 
     @classmethod
     def from_words(cls, era_id: int, words: Iterable[str]) -> "EraLexicon":
@@ -95,18 +45,16 @@ class EraLexicon:
             raise DataError(f"era {era_id}: empty word in lexicon")
         return cls(
             era_id=era_id,
-            words=frozenset(ordered),
             word_ids={w: i for i, w in enumerate(ordered)},
             id_to_word=tuple(ordered),
-            trie=Trie(ordered),
         )
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.id_to_word)
 
     def serialize(self) -> bytes:
         """Canonical form: words sorted, one per line, UTF-8."""
-        return "".join(w + "\n" for w in sorted(self.words)).encode("utf-8")
+        return "".join(w + "\n" for w in self.id_to_word).encode("utf-8")
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize()).hexdigest()
@@ -164,19 +112,24 @@ def extract_candidates(
 ) -> list[list[Candidate]]:
     """Collect, for every character position, the dictionary words covering it.
 
-    A window [s, s+n) whose substring is in the lexicon contributes one
-    candidate to each position it covers: V_S for a single-character match,
+    chars holds one character per position.  Every window [s, s+n) with
+    n <= max_ngram is looked up in the lexicon, and each one found
+    contributes one candidate to each position it covers: V_S for a single-character match,
     V_B at the first position, V_E at the last, V_M strictly inside.
     Candidates are ordered by match start then length and deduplicated by
     (word, value class), keeping the first occurrence.
     """
     if max_ngram < 1:
         raise DataError(f"max_ngram must be >= 1, got {max_ngram}")
+    text = "".join(chars)
+    word_ids = lexicon.word_ids
     out: list[list[Candidate]] = [[] for _ in chars]
     seen: list[set[Candidate]] = [set() for _ in chars]
-    for start in range(len(chars)):
-        for n in lexicon.trie.matches_from(chars, start, max_ngram):
-            word_id = lexicon.word_ids["".join(chars[start : start + n])]
+    for start in range(len(text)):
+        for n in range(1, min(max_ngram, len(text) - start) + 1):
+            word_id = word_ids.get(text[start : start + n])
+            if word_id is None:
+                continue
             for i in range(start, start + n):
                 if n == 1:
                     vc = V_S

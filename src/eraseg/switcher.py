@@ -1,9 +1,9 @@
 """Era discrimination and memory-cell switching.
 
 The sentence vector feeds a linear era classifier.  Its distribution then
-drives how the per-era memory outputs are combined: hard switching routes
-a single cell (the gold era while training, the argmax era at inference,
-lowest index on ties), soft switching takes the probability-weighted sum.
+drives how the per-era memory outputs are combined (see route): hard
+switching routes a single cell, soft switching takes the
+probability-weighted sum.
 The chosen memory output is fused with the character's hidden state
 through one affine layer, by element-wise sum or by concatenation.
 """
@@ -17,9 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-SWITCH_MODES = ("hard", "soft")
-FUSION_MODES = ("sum", "concat")
+from .config import SWITCH_MODES
 
 INIT_RANGE = 0.1
 
@@ -95,6 +93,30 @@ def predicted_era(era_probs: Tensor) -> int:
     return int(np.argmax(era_probs.value[0]))
 
 
+def route(
+    mode: str,
+    era_probs: Tensor | None,
+    gold_era: int | None = None,
+    training: bool = False,
+) -> int | None:
+    """The era whose memory cell every position reads; None reads them all.
+
+    Hard mode reads a single cell: the gold era during training (argmax is
+    not differentiable), the predicted era otherwise.  Soft mode reads
+    every cell and weights it by its era probability, keeping the
+    classifier in the gradient path.
+    """
+    if mode not in SWITCH_MODES:
+        raise ValueError(f"unknown switch mode {mode!r}")
+    if mode == "soft":
+        return None
+    if training:
+        if gold_era is None:
+            raise ValueError("hard-mode training requires the gold era")
+        return gold_era
+    return predicted_era(era_probs)
+
+
 def switch(
     cell_outputs: Sequence[Tensor],
     era_probs: Tensor,
@@ -102,25 +124,12 @@ def switch(
     gold_era: int | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Combine the per-era memory outputs into one vector.
-
-    Hard mode picks a single cell: the gold era during training (argmax is
-    not differentiable), the predicted era otherwise.  Soft mode weights
-    every cell by its era probability, keeping the classifier in the
-    gradient path.
-    """
+    """Combine the per-era memory outputs into one vector, as route decides."""
     cells = list(cell_outputs)
-    if mode not in SWITCH_MODES:
-        raise ValueError(f"unknown switch mode {mode!r}")
     if era_probs.shape != (1, len(cells)):
         raise ValueError(f"{len(cells)} cells but era distribution of shape {era_probs.shape}")
-    if mode == "hard":
-        if training:
-            if gold_era is None:
-                raise ValueError("hard-mode training requires the gold era")
-            d = gold_era
-        else:
-            d = predicted_era(era_probs)
+    d = route(mode, era_probs, gold_era, training)
+    if d is not None:
         if not (0 <= d < len(cells)):
             raise ValueError(f"era id {d} out of range for {len(cells)} cells")
         return cells[d]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -21,10 +21,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ALL_KEYS, Config, parse_config_text
-from .corpus import TAGS, RawCorpus, Vocab, bmes_to_words, preprocess, words_to_bmes
+from .corpus import TAG_TO_ID, TAGS, RawCorpus, Vocab, bmes_to_words, preprocess, words_to_bmes
 from .crf import CrfParams, emissions, init_crf_params, nll, viterbi
 from .encoder import EncoderParams, encode, init_encoder_params
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .lexicon import Candidate, EraLexicon, build_lexicon, extract_candidates
 from .memory import MemoryParams, init_memory_params, read_cell
 from .metrics import score_segmentation
@@ -37,12 +37,11 @@ from .switcher import (
     init_discriminator_params,
     init_fusion_params,
     predicted_era,
+    route,
     switch,
 )
 
 GRAD_CLIP_NORM = 5.0
-
-_TAG_INDEX = {t: i for i, t in enumerate(TAGS)}
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +83,6 @@ def init_model_params(
     )
 
 
-def clone_model_params(params: ModelParams) -> ModelParams:
-    """Deep copy of the parameter values, detached from any graph."""
-
-    def copy_obj(obj):
-        if isinstance(obj, Tensor):
-            return Tensor(obj.value.copy(), name=obj.name)
-        if hasattr(obj, "__dataclass_fields__"):
-            kwargs = {k: copy_obj(getattr(obj, k)) for k in obj.__dataclass_fields__}
-            return type(obj)(**kwargs)
-        if isinstance(obj, tuple):
-            return tuple(copy_obj(x) for x in obj)
-        return obj
-
-    return copy_obj(params)
-
-
 # ---------------------------------------------------------------------------
 # Sentence preparation and graph assembly
 
@@ -125,7 +108,7 @@ def prepare_sentence(
     chars = tuple(ch for w in words for ch in w)
     tags = None
     if with_tags:
-        tags = [_TAG_INDEX[t] for t in words_to_bmes(words)]
+        tags = [TAG_TO_ID[t] for t in words_to_bmes(words)]
     return PreparedSentence(
         chars=chars,
         char_ids=[Vocab.CLS] + vocab.encode(chars),
@@ -141,26 +124,25 @@ def _assemble_features(
     prep: PreparedSentence,
     config: Config,
     states: list[Tensor],
+    era: int | None,
     era_probs: Tensor | None,
-    route_era: int | None,
-    training: bool,
 ) -> Tensor:
     """Per-character fused features as a (T, d_a) matrix.
 
-    route_era routes every position to one memory cell (hard mode); probs
-    drive the soft weighting otherwise.  With the memory disabled the cell
-    output is pinned to zero and only the fusion layer runs.
+    Every position reads era's memory cell, or with era None (see
+    switcher.route) all cells, switched by era_probs.  With the memory
+    disabled the cell output is pinned to zero and only the fusion layer runs.
     """
     zero_cell = Tensor(np.zeros((1, config.d_a)))
     rows = []
     for i, h_i in enumerate(states):
         if not config.memory_enabled:
             o_i = zero_cell
-        elif route_era is not None:
+        elif era is not None:
             o_i = read_cell(
                 h_i,
-                prep.candidates[route_era][i],
-                params.memory.key_tables[route_era],
+                prep.candidates[era][i],
+                params.memory.key_tables[era],
                 params.memory.value_table,
             )
         else:
@@ -168,7 +150,7 @@ def _assemble_features(
                 read_cell(h_i, prep.candidates[d][i], params.memory.key_tables[d], params.memory.value_table)
                 for d in range(config.eras)
             ]
-            o_i = switch(cells, era_probs, "soft", gold_era=prep.era_id, training=training)
+            o_i = switch(cells, era_probs, config.switch_mode)
         rows.append(fuse(o_i, h_i, params.fusion, config.fusion))
     return ad.concat_rows(rows)
 
@@ -183,11 +165,11 @@ def sentence_loss(
         raise DataError(f"era id {prep.era_id} out of range for {config.eras} eras")
     h_sent, states = encode(prep.char_ids, params.encoder)
     disc_loss = discriminator_nll(h_sent, params.disc, prep.era_id)
-    if config.switch_mode == "hard" or not config.memory_enabled:
-        era_probs, route = None, prep.era_id
-    else:
-        era_probs, route = classify_era(h_sent, params.disc), None
-    feats = _assemble_features(params, prep, config, states, era_probs, route, training=True)
+    era = route(config.switch_mode, None, prep.era_id, training=True)
+    era_probs = None
+    if era is None and config.memory_enabled:
+        era_probs = classify_era(h_sent, params.disc)
+    feats = _assemble_features(params, prep, config, states, era, era_probs)
     cws_loss = nll(emissions(feats, params.crf), params.crf.transitions, prep.tags)
     loss = ad.add(ad.scale(cws_loss, config.alpha), ad.scale(disc_loss, 1.0 - config.alpha))
     return loss, float(cws_loss.value[0, 0]), float(disc_loss.value[0, 0])
@@ -195,24 +177,25 @@ def sentence_loss(
 
 def predict_sentence(
     params: ModelParams, prep: PreparedSentence, config: Config, force_era: int | None = None
-) -> tuple[list[int], int, np.ndarray]:
-    """Viterbi tags, predicted era, and the era distribution for one sentence.
+) -> tuple[tuple[str, ...], int, np.ndarray]:
+    """Words of the Viterbi tagging, predicted era, and the era distribution
+    for one sentence.
 
-    force_era overrides the classifier and hard-routes that era's memory.
+    force_era overrides the classifier and routes that era's memory.
     """
     h_sent, states = encode(prep.char_ids, params.encoder)
     era_probs = classify_era(h_sent, params.disc)
     if force_era is not None:
         if not (0 <= force_era < config.eras):
             raise ValueError(f"era id {force_era} out of range for {config.eras} eras")
-        era, route = force_era, force_era
+        era = read = force_era
     else:
-        era = predicted_era(era_probs)
-        route = era if (config.switch_mode == "hard" or not config.memory_enabled) else None
-    feats = _assemble_features(params, prep, config, states, era_probs, route, training=False)
+        era, read = predicted_era(era_probs), route(config.switch_mode, era_probs)
+    feats = _assemble_features(params, prep, config, states, read, era_probs)
     emit = emissions(feats, params.crf)
     tags, _ = viterbi(emit.value, params.crf.transitions.value)
-    return tags, era, era_probs.value[0].copy()
+    words = bmes_to_words(prep.chars, [TAGS[t] for t in tags])
+    return words, era, era_probs.value[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +280,8 @@ def split_corpus(corpus: RawCorpus, dev_fraction: float, seed: int) -> tuple[Raw
 
 
 def _dev_f1(params: ModelParams, prepared: Sequence[PreparedSentence], config: Config) -> float:
-    gold, pred = [], []
-    for prep in prepared:
-        tags, _, _ = predict_sentence(params, prep, config)
-        gold.append(prep.gold_words)
-        pred.append(bmes_to_words(prep.chars, [TAGS[t] for t in tags]))
+    gold = [prep.gold_words for prep in prepared]
+    pred = [predict_sentence(params, prep, config)[0] for prep in prepared]
     return score_segmentation(gold, pred).f1
 
 
@@ -350,7 +330,7 @@ def train(
 
     tensors = params.tensors()
     opt = Adam(tensors, config.lr)
-    best: tuple[float, int, ModelParams] | None = None
+    best_f1, best_epoch, best_values = None, config.epochs, None
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(prepared))
@@ -375,16 +355,16 @@ def train(
         dev_f1 = None
         if dev_prepared is not None:
             dev_f1 = _dev_f1(params, dev_prepared, config)
-            if best is None or dev_f1 > best[0]:
-                best = (dev_f1, epoch, clone_model_params(params))
+            if best_f1 is None or dev_f1 > best_f1:
+                best_f1, best_epoch = dev_f1, epoch
+                best_values = [t.value.copy() for t in tensors]
         n = len(prepared)
         if on_epoch is not None:
             on_epoch(EpochStats(epoch, sum_loss / n, sum_cws / n, sum_disc / n, dev_f1))
 
-    if best is not None:
-        best_f1, best_epoch, best_params = best
-    else:
-        best_f1, best_epoch, best_params = None, config.epochs, clone_model_params(params)
+    if best_values is not None:
+        for t, value in zip(tensors, best_values):
+            t.value[...] = value
     train_words = tuple(
         frozenset(w for s in train_corpus.sentences if s.era_id == d for w in s.words)
         for d in range(config.eras)
@@ -394,7 +374,7 @@ def train(
         vocab=vocab,
         lexicons=lexicons,
         train_words=train_words,
-        params=best_params,
+        params=params,
         epoch=best_epoch,
         dev_f1=best_f1,
     )
@@ -422,8 +402,7 @@ def segment(text: str, ckpt: "Checkpoint", force_era: int | None = None) -> Segm
     prep = prepare_sentence(
         [clean], None, ckpt.vocab, ckpt.lexicons, ckpt.config.max_ngram, with_tags=False
     )
-    tags, era, probs = predict_sentence(ckpt.params, prep, ckpt.config, force_era=force_era)
-    words = bmes_to_words(prep.chars, [TAGS[t] for t in tags])
+    words, era, probs = predict_sentence(ckpt.params, prep, ckpt.config, force_era=force_era)
     return Segmentation(words=words, era=era, era_probs=tuple(float(p) for p in probs))
 
 
@@ -510,6 +489,14 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
+        """Parse a checkpoint; every decode or parse failure is a DataError."""
+        try:
+            return cls._parse(data)
+        except (ValueError, ConfigError) as exc:  # includes UnicodeDecodeError
+            raise DataError(f"checkpoint corrupt: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, data: bytes) -> "Checkpoint":
         reader = _Reader(data)
         if reader.take(4) != MAGIC:
             raise DataError("not a checkpoint file: bad magic bytes")

@@ -66,3 +66,24 @@ def brute_marginals(emit, trans):
 def total_probability(emit, trans):
     log_z = brute_log_partition(emit, trans)
     return sum(math.exp(s - log_z) for _, s in enumerate_sequences(emit, trans))
+
+
+def split_long_recursive(words, max_len, punct):
+    """One chunk per recursion level: the first chunk ends after the last
+    word ending in punct that fits within max_len characters, else after
+    the last word that fits; the rest is split the same way.
+    """
+    if sum(len(w) for w in words) <= max_len:
+        return [words]
+    acc = last_fit = last_punct = 0
+    for i, w in enumerate(words):
+        if acc + len(w) > max_len:
+            break
+        acc += len(w)
+        last_fit = i + 1
+        if w.endswith(punct):
+            last_punct = i + 1
+    cut = last_punct or last_fit
+    if cut == 0:
+        raise ValueError("single word longer than max_len")
+    return [words[:cut]] + split_long_recursive(words[cut:], max_len, punct)

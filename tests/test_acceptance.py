@@ -20,7 +20,7 @@ from _oracles import brute_log_partition, brute_viterbi
 import eraseg.autodiff as ad
 from eraseg.autodiff import Tensor
 from eraseg.config import Config
-from eraseg.corpus import TAGS, Vocab, bmes_to_words, make_synthetic_corpus
+from eraseg.corpus import Vocab, make_synthetic_corpus
 from eraseg.crf import log_partition, viterbi
 from eraseg.lexicon import build_lexicon
 from eraseg.metrics import machine_line, oov_recall, score_segmentation
@@ -223,9 +223,9 @@ def _evaluate(ckpt, corpus):
         prep = prepare_sentence(
             sent.words, sent.era_id, ckpt.vocab, ckpt.lexicons, ckpt.config.max_ngram
         )
-        tags, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
+        words, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
         gold.append(list(sent.words))
-        pred.append(list(bmes_to_words(prep.chars, [TAGS[t] for t in tags])))
+        pred.append(list(words))
         gold_eras.append(sent.era_id)
         pred_eras.append(era)
     return score_segmentation(gold, pred).f1, era_accuracy(gold_eras, pred_eras)

@@ -1,16 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import split_long_recursive
 from eraseg.corpus import (
     LAT_TOKEN,
     NUM_TOKEN,
     PUNC_TOKEN,
     TAGS,
-    LabeledSentence,
     RawSentence,
     Vocab,
     bmes_to_words,
-    is_valid_bmes,
+    _split_long,
     load_corpus,
     make_synthetic_corpus,
     preprocess,
@@ -83,15 +83,23 @@ class TestBmesToWords:
 
 
 class TestValidity:
+    """Valid tag sequences are exactly those bmes_to_words keeps as they are."""
+
+    @staticmethod
+    def repaired(tags):
+        chars = [CJK[i % len(CJK)] for i in range(len(tags))]
+        return words_to_bmes(bmes_to_words(chars, tags))
+
     def test_accepts_generated_sequences(self):
-        assert is_valid_bmes(words_to_bmes(["等待", "谁", "来"]))
+        tags = words_to_bmes(["等待", "谁", "来"])
+        assert self.repaired(tags) == tags
 
     @pytest.mark.parametrize(
         "tags",
         [("B",), ("M", "E"), ("S", "M", "E"), ("B", "S"), ("E",), ("B", "E", "M")],
     )
     def test_rejects_broken_sequences(self, tags):
-        assert not is_valid_bmes(tags)
+        assert self.repaired(tags) != tags
 
 
 class TestPreprocess:
@@ -158,21 +166,25 @@ class TestLoadCorpus(object):
         joined = [w for s in corpus.sentences for w in s.words]
         assert joined == ["天地"] * 30 + [PUNC_TOKEN] + ["山水"] * 40
 
+    def test_very_long_line_splits_without_recursion(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text(" ".join(["山"] * 1200) + "\n", encoding="utf-8")
+        corpus = load_corpus(p, era_id=0, max_len=1)
+        assert len(corpus) == 1200
+        assert all(s.words == ("山",) for s in corpus.sentences)
 
-class TestLabeledSentence:
-    def test_from_words(self):
-        s = LabeledSentence.from_words(["等待", "谁"], era_id=1)
-        assert s.chars == ("等", "待", "谁")
-        assert s.tags == ("B", "E", "S")
-        assert s.words == ("等待", "谁")
+    def test_word_longer_than_max_len_rejected(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("山 水火木 金\n", encoding="utf-8")
+        with pytest.raises(DataError, match="single word longer"):
+            load_corpus(p, era_id=0, max_len=2)
 
-    def test_invalid_tags_rejected(self):
-        with pytest.raises(DataError, match="invalid tag sequence"):
-            LabeledSentence(chars=("a", "b"), tags=("M", "E"))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError, match="mismatch"):
-            LabeledSentence(chars=("a",), tags=("B", "E"))
+    @given(
+        st.lists(st.sampled_from(["山", "水火", "木金土", PUNC_TOKEN, "天" + PUNC_TOKEN]), max_size=40),
+        st.integers(min_value=3, max_value=12),
+    )
+    def test_splits_match_recursive_reference(self, words, max_len):
+        assert _split_long(words, max_len) == split_long_recursive(words, max_len, PUNC_TOKEN)
 
 
 class TestVocab:

@@ -6,13 +6,13 @@ from eraseg.config import Config
 from eraseg.corpus import RawCorpus, RawSentence, Vocab, make_synthetic_corpus
 from eraseg.errors import DataError, NumericError
 from eraseg.lexicon import build_lexicon
+from eraseg.metrics import score_segmentation
 from eraseg.trainer import (
     Adam,
     Checkpoint,
     EpochStats,
     ModelParams,
     clip_global_norm,
-    clone_model_params,
     init_model_params,
     predict_sentence,
     prepare_sentence,
@@ -122,11 +122,11 @@ class TestPredict:
     def test_shapes_and_determinism(self):
         config = tiny_config()
         _, _, _, params, prepared = tiny_setup(config)
-        tags1, era1, probs1 = predict_sentence(params, prepared[0], config)
-        tags2, era2, probs2 = predict_sentence(params, prepared[0], config)
-        assert tags1 == tags2 and era1 == era2
+        words1, era1, probs1 = predict_sentence(params, prepared[0], config)
+        words2, era2, probs2 = predict_sentence(params, prepared[0], config)
+        assert words1 == words2 and era1 == era2
         np.testing.assert_array_equal(probs1, probs2)
-        assert len(tags1) == len(prepared[0].chars)
+        assert "".join(words1) == "".join(prepared[0].chars)
         assert abs(probs1.sum() - 1.0) < 1e-12
         assert era1 == int(np.argmax(probs1))
 
@@ -271,6 +271,34 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             Checkpoint.from_bytes(bytes(data))
 
+    def test_every_header_mutation_loads_or_raises_data_error(self):
+        # Two mutations (0xFF, low bit flipped) of every byte outside the
+        # tensors' float payloads; those payloads are not hashed, so a
+        # mutation there loads with changed weights.
+        config = tiny_config(epochs=1)
+        corpus, _ = make_synthetic_corpus(5, 24, 4)
+        ckpt = train(corpus, None, config)
+        data = ckpt.to_bytes()
+        named = ckpt.params.named_tensors()
+        tensor_part = 4 + sum(4 + len(n.encode()) + 8 + t.value.size * 8 for n, t in named)
+        pos = len(data) - tensor_part + 4
+        offsets = list(range(pos))  # sections up to and including the tensor count
+        for name, tensor in named:
+            meta = 4 + len(name.encode()) + 8  # name section and shape
+            offsets += range(pos, pos + meta)
+            pos += meta + tensor.value.size * 8
+        assert pos == len(data)
+        rejected = 0
+        for i in offsets:
+            for byte in (0xFF, data[i] ^ 0x01):
+                mutated = bytearray(data)
+                mutated[i] = byte
+                try:
+                    Checkpoint.from_bytes(bytes(mutated))
+                except DataError:
+                    rejected += 1
+        assert rejected > len(offsets)
+
     def test_best_epoch_recorded(self, trained):
         ckpt, stats = trained
         dev_scores = [s.dev_f1 for s in stats]
@@ -303,11 +331,17 @@ class TestSegment:
         assert abs(sum(result.era_probs) - 1.0) < 1e-12
 
 
-class TestCloneParams:
-    def test_clone_is_independent(self):
-        config = tiny_config()
-        _, _, _, params, _ = tiny_setup(config, n_sentences=4)
-        copy = clone_model_params(params)
-        params.crf.weight.value[0, 0] += 1.0
-        assert copy.crf.weight.value[0, 0] != params.crf.weight.value[0, 0]
-        assert [n for n, _ in copy.named_tensors()] == [n for n, _ in params.named_tensors()]
+class TestBestEpochSnapshot:
+    def test_checkpoint_reproduces_dev_f1(self):
+        # The kept epoch precedes the last one and scores higher, so the
+        # checkpoint must carry that epoch's parameters, not the final ones.
+        config = tiny_config(epochs=3, lr=0.03)
+        corpus, _ = make_synthetic_corpus(11, 40, 4)
+        train_part, dev_part = split_corpus(corpus, 0.2, seed=1)
+        stats: list[EpochStats] = []
+        ckpt = train(train_part, dev_part, config, on_epoch=stats.append)
+        assert ckpt.epoch < config.epochs
+        assert stats[-1].dev_f1 < ckpt.dev_f1
+        gold = [s.words for s in dev_part.sentences]
+        pred = [segment("".join(words), ckpt).words for words in gold]
+        assert score_segmentation(gold, pred).f1 == ckpt.dev_f1
