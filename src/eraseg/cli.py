@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import FUSION_MODES, SWITCH_MODES, Config, load_config
-from .corpus import RawCorpus, load_corpus
+from .corpus import RawCorpus, load_corpus, read_lines
 from .errors import ConfigError, DataError, NumericError
 from .lexicon import build_lexicon, load_lexicon
 from .metrics import era_accuracy, format_report, oov_recall, score_segmentation
@@ -99,10 +99,6 @@ def _resolve_config(args) -> Config:
     return config
 
 
-def _load_lexicons(dict_dir: Path, eras: int):
-    return tuple(load_lexicon(dict_dir / f"era{d}.dict", d) for d in range(eras))
-
-
 def cmd_build_dict(args) -> int:
     config = _resolve_config(args)
     pairs = _parse_pairs(args.corpora)
@@ -123,7 +119,8 @@ def cmd_train(args) -> int:
     corpus = _load_merged_corpus(pairs, config.max_len)
     lexicons = None
     if args.dict_dir is not None:
-        lexicons = _load_lexicons(Path(args.dict_dir), config.eras)
+        dict_dir = Path(args.dict_dir)
+        lexicons = tuple(load_lexicon(dict_dir / f"era{d}.dict", d) for d in range(config.eras))
     train_part, dev_part = split_corpus(corpus, DEV_FRACTION, config.seed)
     _log(f"training on {len(train_part)} sentences, validating on {len(dev_part)}")
 
@@ -142,33 +139,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_input_lines(path: str | None) -> list[str]:
-    if path is None:
-        data = sys.stdin.buffer.read()
-        name = "<stdin>"
-    else:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read input {path}: {exc}") from exc
-        name = str(path)
-    lines = []
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{name}:{lineno}: malformed UTF-8 ({exc})") from exc
-    if lines and lines[-1] == "":  # trailing newline, not an extra input line
-        lines.pop()
-    return lines
-
-
 def cmd_segment(args) -> int:
     ckpt = Checkpoint.load(args.checkpoint)
     if args.era is not None and not (0 <= args.era < ckpt.config.eras):
         raise ConfigError(f"--era {args.era} out of range for {ckpt.config.eras} eras")
     out_lines = []
-    for line in _read_input_lines(args.input):
+    for line in read_lines(args.input):
         if not line.strip():
             out_lines.append("")
             continue
@@ -294,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output path that cannot be written
         _log(f"error: {exc}")
         return EXIT_DATA
     except NumericError as exc:

@@ -133,6 +133,8 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: malformed UTF-8 ({exc})") from exc
         cfg = parse_config_text(text)
     if overrides:
         cfg = cfg.with_overrides(overrides)

@@ -9,8 +9,8 @@ corpora are immutable after construction.
 
 from __future__ import annotations
 
-import hashlib
 import random
+import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,23 +166,36 @@ def _split_long(words: list[str], max_len: int) -> list[list[str]]:
         start = cut
 
 
+def read_lines(path: str | Path | None) -> list[str]:
+    """The "\n"-separated lines of a UTF-8 file, or of stdin when path is None.
+
+    An unreadable file or malformed UTF-8 raises DataError naming the file
+    and line number.  A final "\n" ends the last line, not an empty one.
+    """
+    if path is None:
+        data, name = sys.stdin.buffer.read(), "<stdin>"
+    else:
+        try:
+            data, name = Path(path).read_bytes(), str(path)
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{name}:{lineno}: malformed UTF-8 ({exc})") from exc
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def load_corpus(path: str | Path, era_id: int, max_len: int = Config.max_len) -> RawCorpus:
     """Load a segmented corpus file, preprocessing every word.
 
     Empty lines are skipped.  Over-long sentences are split (see _split_long).
-    Raises DataError with the offending line number on malformed UTF-8.
     """
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     sentences: list[RawSentence] = []
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed UTF-8 ({exc})") from exc
+    for line in read_lines(path):
         words = [preprocess(w) for w in line.strip("\r").split(" ") if w]
         if not words:
             continue
@@ -223,10 +236,6 @@ class Vocab:
 
     def chars_in_id_order(self) -> tuple[str, ...]:
         return tuple(self._chars)
-
-    def content_hash(self) -> str:
-        payload = "\n".join(self._chars).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ value class describing where the character sits inside the match.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import RawCorpus
+from .corpus import RawCorpus, read_lines
 from .errors import DataError
 
 # Boundary value classes: position of the character inside the matched word.
@@ -30,6 +29,23 @@ class Candidate(NamedTuple):
     value_class: int
 
 
+def check_words(words: Iterable[str], owner: str) -> None:
+    """Reject the words that decode_words(encode_words(...)) would not give back."""
+    for w in words:
+        if not w or "\n" in w:
+            raise DataError(f"{owner}: word {w!r} is empty or contains a line break")
+
+
+def encode_words(words: Iterable[str]) -> bytes:
+    """The word-list format of .dict files and checkpoints: sorted, each word followed by "\n"."""
+    return "".join(w + "\n" for w in sorted(words)).encode("utf-8")
+
+
+def decode_words(lines: Iterable[str]) -> list[str]:
+    """The words of an encode_words payload split on "\n": empty lines are skipped."""
+    return [line for line in lines if line]
+
+
 @dataclass(frozen=True)
 class EraLexicon:
     """One era's dictionary: sorted words and their dense key-embedding ids."""
@@ -41,8 +57,7 @@ class EraLexicon:
     @classmethod
     def from_words(cls, era_id: int, words: Iterable[str]) -> "EraLexicon":
         ordered = sorted(set(words))
-        if any(not w for w in ordered):
-            raise DataError(f"era {era_id}: empty word in lexicon")
+        check_words(ordered, f"era {era_id} lexicon")
         return cls(
             era_id=era_id,
             word_ids={w: i for i, w in enumerate(ordered)},
@@ -53,25 +68,14 @@ class EraLexicon:
         return len(self.id_to_word)
 
     def serialize(self) -> bytes:
-        """Canonical form: words sorted, one per line, UTF-8."""
-        return "".join(w + "\n" for w in self.id_to_word).encode("utf-8")
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.serialize()).hexdigest()
+        return encode_words(self.id_to_word)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.serialize())
 
 
 def load_lexicon(path: str | Path, era_id: int) -> EraLexicon:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: malformed UTF-8 ({exc})") from exc
-    words = [line for line in text.splitlines() if line]
-    return EraLexicon.from_words(era_id, words)
+    return EraLexicon.from_words(era_id, decode_words(read_lines(path)))
 
 
 def build_lexicon(

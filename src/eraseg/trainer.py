@@ -10,6 +10,7 @@ reproduces its checkpoint bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .crf import CrfParams, emissions, init_crf_params, nll, viterbi
 from .encoder import EncoderParams, encode, init_encoder_params
 from .errors import ConfigError, DataError, NumericError
 from .lexicon import Candidate, EraLexicon, build_lexicon, extract_candidates
+from .lexicon import check_words, decode_words, encode_words  # the word-list codec
 from .memory import MemoryParams, init_memory_params, read_cell
 from .metrics import score_segmentation
 from .switcher import (
@@ -305,6 +307,12 @@ def train(
     missing = sorted(set(range(config.eras)) - seen_eras)
     if missing:
         raise DataError(f"no training sentences for eras {missing}")
+    train_words = tuple(
+        frozenset(w for s in train_corpus.sentences if s.era_id == d for w in s.words)
+        for d in range(config.eras)
+    )
+    for d, words in enumerate(train_words):
+        check_words(words, f"era {d} training words")
     if lexicons is None:
         lexicons = tuple(
             build_lexicon(train_corpus, d, config.ngram_min_count, config.max_ngram)
@@ -365,10 +373,6 @@ def train(
     if best_values is not None:
         for t, value in zip(tensors, best_values):
             t.value[...] = value
-    train_words = tuple(
-        frozenset(w for s in train_corpus.sentences if s.era_id == d for w in s.words)
-        for d in range(config.eras)
-    )
     return Checkpoint(
         config=config,
         vocab=vocab,
@@ -410,7 +414,8 @@ def segment(text: str, ckpt: "Checkpoint", force_era: int | None = None) -> Segm
 # Checkpoint serialization
 
 MAGIC = b"XWSM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DIGEST_SIZE = 32  # SHA-256 of every preceding byte, appended as a trailer
 
 
 def _pack_section(data: bytes) -> bytes:
@@ -432,11 +437,11 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def section(self) -> bytes:
-        return self.take(self.u32())
+    def text(self) -> str:
+        return self.take(self.u32()).decode("utf-8")
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    def words(self) -> list[str]:
+        return decode_words(self.text().split("\n"))
 
 
 @dataclass
@@ -455,26 +460,17 @@ class Checkpoint:
     epoch: int
     dev_f1: float | None
 
-    def _meta_text(self) -> str:
-        lines = [
-            f"epoch={self.epoch}",
-            f"dev_f1={'NA' if self.dev_f1 is None else repr(self.dev_f1)}",
-            f"vocab_hash={self.vocab.content_hash()}",
-        ]
-        for lex in self.lexicons:
-            lines.append(f"lexicon_hash_{lex.era_id}={lex.content_hash()}")
-        return "\n".join(lines) + "\n"
-
     def to_bytes(self) -> bytes:
+        dev_f1 = "NA" if self.dev_f1 is None else repr(self.dev_f1)
+        meta = f"epoch={self.epoch}\ndev_f1={dev_f1}\n"
         out = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
         out.append(_pack_section(self.config.to_text().encode("utf-8")))
-        out.append(_pack_section(self._meta_text().encode("utf-8")))
+        out.append(_pack_section(meta.encode("utf-8")))
         out.append(_pack_section("".join(self.vocab.chars_in_id_order()).encode("utf-8")))
         for lex in self.lexicons:
             out.append(_pack_section(lex.serialize()))
         for words in self.train_words:
-            payload = "".join(w + "\n" for w in sorted(words)).encode("utf-8")
-            out.append(_pack_section(payload))
+            out.append(_pack_section(encode_words(words)))
         named = self.params.named_tensors()
         out.append(struct.pack("<I", len(named)))
         for name, tensor in named:
@@ -482,47 +478,41 @@ class Checkpoint:
             rows, cols = tensor.shape
             out.append(struct.pack("<II", rows, cols))
             out.append(tensor.value.astype("<f8").tobytes())
-        return b"".join(out)
+        body = b"".join(out)
+        return body + hashlib.sha256(body).digest()
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        """Parse a checkpoint; every decode or parse failure is a DataError."""
-        try:
-            return cls._parse(data)
-        except (ValueError, ConfigError) as exc:  # includes UnicodeDecodeError
-            raise DataError(f"checkpoint corrupt: {exc}") from exc
+        """Parse a checkpoint; every decode or parse failure is a DataError.
 
-    @classmethod
-    def _parse(cls, data: bytes) -> "Checkpoint":
+        The magic bytes and the version are checked first, then the digest
+        over the whole file; only a file that matches its digest is parsed.
+        """
         reader = _Reader(data)
         if reader.take(4) != MAGIC:
             raise DataError("not a checkpoint file: bad magic bytes")
         version = reader.u32()
         if version != FORMAT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
-        config = parse_config_text(reader.section().decode("utf-8"), allowed=ALL_KEYS)
-        meta = dict(
-            line.split("=", 1)
-            for line in reader.section().decode("utf-8").splitlines()
-            if line
-        )
-        vocab = Vocab(reader.section().decode("utf-8"))
-        lexicons = tuple(
-            EraLexicon.from_words(d, reader.section().decode("utf-8").splitlines())
-            for d in range(config.eras)
-        )
-        train_words = tuple(
-            frozenset(w for w in reader.section().decode("utf-8").splitlines() if w)
-            for _ in range(config.eras)
-        )
-        if meta.get("vocab_hash") != vocab.content_hash():
-            raise DataError("checkpoint corrupt: vocabulary hash mismatch")
-        for lex in lexicons:
-            if meta.get(f"lexicon_hash_{lex.era_id}") != lex.content_hash():
-                raise DataError(f"checkpoint corrupt: era {lex.era_id} lexicon hash mismatch")
+        body, digest = data[:-DIGEST_SIZE], data[-DIGEST_SIZE:]
+        if len(body) < reader.pos or hashlib.sha256(body).digest() != digest:
+            raise DataError("checkpoint corrupt: SHA-256 digest mismatch")
+        reader.data = body  # the sections end where the digest starts
+        try:
+            return cls._parse(reader)
+        except (ValueError, ConfigError) as exc:  # includes UnicodeDecodeError
+            raise DataError(f"checkpoint corrupt: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, reader: _Reader) -> "Checkpoint":
+        config = parse_config_text(reader.text(), allowed=ALL_KEYS)
+        meta = dict(line.split("=", 1) for line in reader.text().split("\n") if line)
+        vocab = Vocab(reader.text())
+        lexicons = tuple(EraLexicon.from_words(d, reader.words()) for d in range(config.eras))
+        train_words = tuple(frozenset(reader.words()) for _ in range(config.eras))
 
         params = init_model_params(
             config, len(vocab), [len(l) for l in lexicons], np.random.default_rng(0)
@@ -532,7 +522,7 @@ class Checkpoint:
         if n_tensors != len(expected):
             raise DataError(f"checkpoint has {n_tensors} tensors, model needs {len(expected)}")
         for name, tensor in expected:
-            stored_name = reader.section().decode("utf-8")
+            stored_name = reader.text()
             if stored_name != name:
                 raise DataError(f"checkpoint tensor order mismatch: {stored_name!r} vs {name!r}")
             rows, cols = struct.unpack("<II", reader.take(8))
@@ -540,21 +530,15 @@ class Checkpoint:
                 raise DataError(f"tensor {name}: stored shape {(rows, cols)} vs {tensor.shape}")
             raw = reader.take(rows * cols * 8)
             tensor.value[...] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
-        if not reader.done():
+            if not np.isfinite(tensor.value).all():
+                raise DataError(f"tensor {name}: non-finite value")
+        if reader.pos != len(reader.data):
             raise DataError("checkpoint has trailing bytes")
 
         epoch = int(meta.get("epoch", "0"))
         dev_raw = meta.get("dev_f1", "NA")
         dev_f1 = None if dev_raw == "NA" else float(dev_raw)
-        return cls(
-            config=config,
-            vocab=vocab,
-            lexicons=lexicons,
-            train_words=train_words,
-            params=params,
-            epoch=epoch,
-            dev_f1=dev_f1,
-        )
+        return cls(config, vocab, lexicons, train_words, params, epoch, dev_f1)
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":

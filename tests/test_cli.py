@@ -87,6 +87,15 @@ class TestUsageErrors:
         )
         assert rc == 1
 
+    def test_config_file_malformed_utf8(self, workspace, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"eras = 2\nseed = \xff\n")
+        rc = main(
+            ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
+             "--out", str(tmp_path / "x.ckpt"), "--config", str(bad)]
+        )
+        assert rc == 1
+
     def test_unknown_config_key(self, workspace):
         rc = main(
             ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
@@ -114,6 +123,31 @@ class TestDataErrors:
         bad.write_bytes(b"\x80\x81\n")
         rc = main(["segment", str(bad), "--checkpoint", str(workspace / "model.ckpt")])
         assert rc == 2
+
+    def test_train_out_in_missing_directory(self, tmp_path, workspace, capsys):
+        rc = main(
+            ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
+             "--out", str(tmp_path / "missing" / "x.ckpt"), *COMMON]
+        )
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_segment_out_in_missing_directory(self, tmp_path, workspace, capsys):
+        rc = main(
+            ["segment", str(segmentable(workspace)), "--checkpoint", str(workspace / "model.ckpt"),
+             "--out", str(tmp_path / "missing" / "o.txt")]
+        )
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_build_dict_out_is_a_file(self, tmp_path, workspace, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        rc = main(
+            ["build-dict", f"0={workspace / 'train0.txt'}", "--out", str(taken), *COMMON]
+        )
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_eval_era_beyond_checkpoint(self, workspace):
         rc = main(

@@ -13,6 +13,7 @@ from eraseg.corpus import (
     _split_long,
     load_corpus,
     make_synthetic_corpus,
+    read_lines,
     preprocess,
     words_to_bmes,
 )
@@ -156,6 +157,16 @@ class TestLoadCorpus(object):
         with pytest.raises(DataError, match="cannot read"):
             load_corpus(tmp_path / "nope.txt", era_id=0)
 
+    def test_lines_split_on_newline_only(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("山\x0c水 天\x85地\u2028人\r\n\n口\x1c手\x0b足\n", encoding="utf-8")
+        assert read_lines(p) == ["山\x0c水 天\x85地\u2028人\r", "", "口\x1c手\x0b足"]
+        corpus = load_corpus(p, era_id=0)
+        assert [s.words for s in corpus.sentences] == [
+            ("山\x0c水", "天\x85地\u2028人"),
+            ("口\x1c手\x0b足",),
+        ]
+
     def test_long_sentence_split_at_punctuation(self, tmp_path):
         words = ["天地"] * 30 + ["。"] + ["山水"] * 40
         p = tmp_path / "c.txt"
@@ -199,9 +210,9 @@ class TestVocab:
         assert v.encode(["z"]) == [Vocab.UNK]
         assert Vocab.CLS not in v.encode(list("abzab"))
 
-    def test_content_hash_stable(self):
-        assert Vocab("ab").content_hash() == Vocab("ba").content_hash()
-        assert Vocab("ab").content_hash() != Vocab("ac").content_hash()
+    def test_id_order_stable(self):
+        assert Vocab("ab").chars_in_id_order() == Vocab("ba").chars_in_id_order()
+        assert Vocab("ab").chars_in_id_order() != Vocab("ac").chars_in_id_order()
 
 
 class TestSyntheticCorpus:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eraseg.corpus import RawCorpus, RawSentence
+from eraseg.errors import DataError
 from eraseg.lexicon import (
     V_B,
     V_E,
@@ -88,7 +89,7 @@ class TestBuildLexicon:
         lex1 = build_lexicon(corpus_of([["ab", "c"], ["c", "ab"]]), 0, 10)
         lex2 = build_lexicon(corpus_of([["c", "ab"], ["ab", "c"]]), 0, 10)
         assert lex1.word_ids == lex2.word_ids
-        assert lex1.content_hash() == lex2.content_hash()
+        assert lex1.serialize() == lex2.serialize()
 
 
 class TestSerialization:
@@ -99,7 +100,12 @@ class TestSerialization:
         loaded = load_lexicon(path, era_id=2)
         assert loaded.id_to_word == lex.id_to_word
         assert loaded.word_ids == lex.word_ids
-        assert loaded.content_hash() == lex.content_hash()
+        assert loaded.serialize() == lex.serialize()
+
+    @pytest.mark.parametrize("word", ["", "a\nb", "\n"])
+    def test_word_the_codec_cannot_carry_rejected(self, word):
+        with pytest.raises(DataError, match="era 0 lexicon"):
+            EraLexicon.from_words(0, ["ab", word])
 
     def test_save_bytes_stable(self, tmp_path):
         lex = build_lexicon(corpus_of([["ab", "c"]]), era_id=0, ngram_min_count=10)

@@ -1,11 +1,16 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eraseg import autodiff as ad
 from eraseg.config import Config
 from eraseg.corpus import RawCorpus, RawSentence, Vocab, make_synthetic_corpus
 from eraseg.errors import DataError, NumericError
-from eraseg.lexicon import build_lexicon
+from eraseg.lexicon import EraLexicon, build_lexicon, load_lexicon
 from eraseg.metrics import score_segmentation
 from eraseg.trainer import (
     Adam,
@@ -22,6 +27,11 @@ from eraseg.trainer import (
     train,
 )
 from eraseg.autodiff import Tensor
+
+# Any word the word-list codec must carry: non-empty, no "\n", encodable as UTF-8.
+CODEC_WORDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), min_size=1, max_size=6
+)
 
 
 def tiny_config(**kw):
@@ -263,7 +273,7 @@ class TestCheckpoint:
     def test_corrupted_vocab_rejected(self, trained):
         ckpt, _ = trained
         data = bytearray(ckpt.to_bytes())
-        # Flip a byte inside the vocab section: hashes must catch it.
+        # Flip a byte inside the vocab section: the digest must catch it.
         marker = "".join(ckpt.vocab.chars_in_id_order()).encode("utf-8")
         pos = data.find(marker)
         assert pos > 0
@@ -271,33 +281,71 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             Checkpoint.from_bytes(bytes(data))
 
-    def test_every_header_mutation_loads_or_raises_data_error(self):
-        # Two mutations (0xFF, low bit flipped) of every byte outside the
-        # tensors' float payloads; those payloads are not hashed, so a
-        # mutation there loads with changed weights.
+    def test_every_byte_mutation_raises_data_error(self):
+        # Two mutations (0xFF, low bit flipped) of every byte, from the magic
+        # bytes through the tensor payloads to the digest trailer.
         config = tiny_config(epochs=1)
         corpus, _ = make_synthetic_corpus(5, 24, 4)
-        ckpt = train(corpus, None, config)
-        data = ckpt.to_bytes()
-        named = ckpt.params.named_tensors()
-        tensor_part = 4 + sum(4 + len(n.encode()) + 8 + t.value.size * 8 for n, t in named)
-        pos = len(data) - tensor_part + 4
-        offsets = list(range(pos))  # sections up to and including the tensor count
-        for name, tensor in named:
-            meta = 4 + len(name.encode()) + 8  # name section and shape
-            offsets += range(pos, pos + meta)
-            pos += meta + tensor.value.size * 8
-        assert pos == len(data)
-        rejected = 0
-        for i in offsets:
-            for byte in (0xFF, data[i] ^ 0x01):
-                mutated = bytearray(data)
+        data = train(corpus, None, config).to_bytes()
+        mutated = bytearray(data)
+        for i, original in enumerate(data):
+            for byte in {0xFF, original ^ 0x01} - {original}:
                 mutated[i] = byte
-                try:
+                with pytest.raises(DataError):
                     Checkpoint.from_bytes(bytes(mutated))
-                except DataError:
-                    rejected += 1
-        assert rejected > len(offsets)
+            mutated[i] = original
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, trained, value):
+        ckpt = Checkpoint.from_bytes(trained[0].to_bytes())
+        name, tensor = ckpt.params.named_tensors()[-1]
+        tensor.value[0, -1] = value
+        data = ckpt.to_bytes()  # sealed with a valid digest
+        with pytest.raises(DataError, match=f"tensor {name}: non-finite"):
+            Checkpoint.from_bytes(data)
+
+    def test_version_1_rejected(self, trained):
+        data = trained[0].to_bytes()
+        v1 = data[:4] + struct.pack("<I", 1) + data[8:]
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+            Checkpoint.from_bytes(v1)
+
+    def test_word_with_separator_characters_round_trips(self):
+        # str.splitlines() splits on each of these; the word-list codec must not.
+        config = tiny_config(epochs=1)
+        corpus, _ = make_synthetic_corpus(5, 24, 4)
+        odd = ("山\x0c", "水\x85", "天\u2028", "地\x1c", "人\x0b")
+        extra = tuple(RawSentence(("之", w, "也"), era) for era in (0, 1) for w in odd)
+        ckpt = train(RawCorpus(corpus.sentences + extra, "odd"), None, config)
+        assert all(w in lex.word_ids for lex in ckpt.lexicons for w in odd)
+        loaded = Checkpoint.from_bytes(ckpt.to_bytes())
+        assert [l.id_to_word for l in loaded.lexicons] == [l.id_to_word for l in ckpt.lexicons]
+        assert loaded.train_words == ckpt.train_words
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(CODEC_WORDS, min_size=1, max_size=12), st.sets(CODEC_WORDS, min_size=1, max_size=12))
+    def test_any_codec_word_sets_round_trip(self, words0, words1):
+        lexicons = (EraLexicon.from_words(0, words0), EraLexicon.from_words(1, words1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "era0.dict"
+            lexicons[0].save(path)
+            assert load_lexicon(path, era_id=0).id_to_word == tuple(sorted(words0))
+        config = tiny_config(d_e=2, d_a=2)
+        vocab = Vocab("山水")
+        params = init_model_params(
+            config, len(vocab), [len(l) for l in lexicons], np.random.default_rng(0)
+        )
+        train_words = (frozenset(words1), frozenset(words0))
+        ckpt = Checkpoint(config, vocab, lexicons, train_words, params, 1, None)
+        loaded = Checkpoint.from_bytes(ckpt.to_bytes())
+        assert [l.id_to_word for l in loaded.lexicons] == [tuple(sorted(words0)), tuple(sorted(words1))]
+        assert loaded.train_words == train_words
+
+    def test_training_word_with_newline_rejected(self):
+        corpus, _ = make_synthetic_corpus(5, 8, 2)
+        bad = RawCorpus(corpus.sentences + (RawSentence(("山水火木金土\n",), 1),), "bad")
+        with pytest.raises(DataError, match="era 1 training words"):
+            train(bad, None, tiny_config(epochs=1))
 
     def test_best_epoch_recorded(self, trained):
         ckpt, stats = trained
