@@ -37,7 +37,7 @@ params = init_memory_params(rng, [len(lex) for lex in lexicons], d_a=8)
 era = sentence.era_id
 cands = extract_candidates(chars, lexicons[era], max_ngram=3)[0]
 h = Tensor(rng.normal(size=(1, 8)))
-probs = attend(h, cands, params.key_tables[era])
+probs = attend(h, [cands], params.key_tables[era])  # a one-character sentence
 print(f"\nattention over era-{era} candidates of the first character:")
 for c, p in zip(cands, probs.value[0]):
     print(f"  {lexicons[era].id_to_word[c.word_id]:<4} {VALUE_NAMES[c.value_class]}: {p:.3f}")

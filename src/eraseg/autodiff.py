@@ -105,6 +105,14 @@ def const(value, name: str | None = None) -> Tensor:
     return Tensor(arr, name=name)
 
 
+INIT_RANGE = 0.1
+
+
+def uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+    """A leaf drawn uniformly from [-INIT_RANGE, INIT_RANGE): every parameter's initial value."""
+    return Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(rows, cols)))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sum out axes that numpy broadcasting expanded."""
     if grad.shape == shape:

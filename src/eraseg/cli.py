@@ -115,6 +115,9 @@ def cmd_build_dict(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # fail before training, not after
+        raise DataError(f"cannot write checkpoint to {out}: not a file in an existing directory")
     pairs = _parse_pairs(args.corpora)
     corpus = _load_merged_corpus(pairs, config.max_len)
     lexicons = None
@@ -132,8 +135,8 @@ def cmd_train(args) -> int:
         )
 
     ckpt = train(train_part, dev_part, config, lexicons=lexicons, on_epoch=log_epoch)
-    ckpt.save(args.out)
-    _log(f"checkpoint written to {args.out}")
+    ckpt.save(out)
+    _log(f"checkpoint written to {out}")
     dev = "NA" if ckpt.dev_f1 is None else f"{ckpt.dev_f1:.4f}"
     print(f"dev_f1={dev} epoch={ckpt.epoch}")
     return EXIT_OK

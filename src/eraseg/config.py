@@ -60,8 +60,8 @@ class Config:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.eras < 2:
             raise ConfigError(f"eras must be >= 2, got {self.eras}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < float("inf"):  # also false for nan
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.switch_mode not in SWITCH_MODES:
             raise ConfigError(f"switch_mode must be one of {SWITCH_MODES}, got {self.switch_mode!r}")
         if self.fusion not in FUSION_MODES:

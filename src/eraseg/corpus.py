@@ -49,12 +49,6 @@ class RawCorpus:
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def era_ids(self) -> set[int]:
-        return {s.era_id for s in self.sentences}
-
-    def word_types(self) -> set[str]:
-        return {w for s in self.sentences for w in s.words}
-
 
 def words_to_bmes(words: Sequence[str]) -> tuple[str, ...]:
     """Convert a segmented sentence to per-character BMES tags.
@@ -226,9 +220,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self._chars) + self.N_RESERVED
-
-    def __contains__(self, ch: str) -> bool:
-        return ch in self._ids
 
     def encode(self, chars: Sequence[str]) -> list[int]:
         """Map characters to ids, UNK for unseen.  Never emits CLS or PAD."""

@@ -15,12 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, uniform
 
 N_LABELS = 4
 START = N_LABELS  # virtual origin row in the transition matrix
-
-INIT_RANGE = 0.1
 
 
 @dataclass
@@ -38,11 +36,10 @@ class CrfParams:
 
 
 def init_crf_params(rng: np.random.Generator, d_a: int) -> CrfParams:
-    u = lambda r, c: Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(r, c)))
     return CrfParams(
-        weight=u(d_a, N_LABELS),
-        bias=u(1, N_LABELS),
-        transitions=u(N_LABELS + 1, N_LABELS),
+        weight=uniform(rng, d_a, N_LABELS),
+        bias=uniform(rng, 1, N_LABELS),
+        transitions=uniform(rng, N_LABELS + 1, N_LABELS),
     )
 
 
@@ -51,24 +48,20 @@ def emissions(a_mat: Tensor, params: CrfParams) -> Tensor:
     return ad.add(ad.matmul(a_mat, params.weight), params.bias)
 
 
-def _check_tags(tags: Sequence[int], t_len: int) -> list[int]:
+def sequence_score(emit: Tensor, transitions: Tensor, tags: Sequence[int]) -> Tensor:
+    """Path score of one tag sequence: emissions plus transitions, as masked sums."""
     tags = list(tags)
-    if len(tags) != t_len:
-        raise ValueError(f"{len(tags)} tags for {t_len} positions")
+    if len(tags) != emit.shape[0]:
+        raise ValueError(f"{len(tags)} tags for {emit.shape[0]} positions")
     if any(not (0 <= y < N_LABELS) for y in tags):
         raise ValueError(f"tag index outside 0..{N_LABELS - 1}: {tags}")
-    return tags
-
-
-def sequence_score(emit: Tensor, transitions: Tensor, tags: Sequence[int]) -> Tensor:
-    """Path score of one tag sequence: emissions plus transitions."""
-    t_len = emit.shape[0]
-    tags = _check_tags(tags, t_len)
-    score = ad.add(ad.pick(emit, 0, tags[0]), ad.pick(transitions, START, tags[0]))
-    for t in range(1, t_len):
-        step = ad.add(ad.pick(emit, t, tags[t]), ad.pick(transitions, tags[t - 1], tags[t]))
-        score = ad.add(score, step)
-    return score
+    on_path = np.eye(N_LABELS)[tags]  # the emission taken at each position
+    step_counts = np.zeros((N_LABELS + 1, N_LABELS))  # uses of each transition
+    np.add.at(step_counts, ([START] + tags[:-1], tags), 1.0)
+    return ad.add(
+        ad.sum_all(ad.mul(emit, Tensor(on_path))),
+        ad.sum_all(ad.mul(transitions, Tensor(step_counts))),
+    )
 
 
 def log_partition(emit: Tensor, transitions: Tensor) -> Tensor:

@@ -15,13 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-
-INIT_RANGE = 0.1
-
-
-def _uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    return Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(rows, cols)))
+from .autodiff import Tensor, uniform
 
 
 @dataclass
@@ -38,12 +32,12 @@ class GruCell:
     @classmethod
     def create(cls, rng: np.random.Generator, d_in: int, k: int) -> "GruCell":
         return cls(
-            w_gates=_uniform(rng, d_in, 2 * k),
-            u_gates=_uniform(rng, k, 2 * k),
-            b_gates=_uniform(rng, 1, 2 * k),
-            w_cand=_uniform(rng, d_in, k),
-            u_cand=_uniform(rng, k, k),
-            b_cand=_uniform(rng, 1, k),
+            w_gates=uniform(rng, d_in, 2 * k),
+            u_gates=uniform(rng, k, 2 * k),
+            b_gates=uniform(rng, 1, 2 * k),
+            w_cand=uniform(rng, d_in, k),
+            u_cand=uniform(rng, k, k),
+            b_cand=uniform(rng, 1, k),
         )
 
     @property
@@ -83,10 +77,6 @@ class EncoderParams:
     fwd: GruCell
     bwd: GruCell
 
-    @property
-    def d_a(self) -> int:
-        return 2 * self.fwd.hidden_size
-
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         out = [("encoder.embeddings", self.embeddings)]
         out.extend(self.fwd.named_tensors("encoder.fwd"))
@@ -103,17 +93,18 @@ def init_encoder_params(
         raise ValueError(f"bad encoder dims: vocab={vocab_size}, d_e={d_e}")
     k = d_a // 2
     return EncoderParams(
-        embeddings=_uniform(rng, vocab_size, d_e),
+        embeddings=uniform(rng, vocab_size, d_e),
         fwd=GruCell.create(rng, d_e, k),
         bwd=GruCell.create(rng, d_e, k),
     )
 
 
-def encode(char_ids: Sequence[int], params: EncoderParams) -> tuple[Tensor, list[Tensor]]:
+def encode(char_ids: Sequence[int], params: EncoderParams) -> tuple[Tensor, Tensor]:
     """Run both directions over [sentinel, c_1..c_T].
 
-    Returns (H, [h_1..h_T]): the sentence vector from the sentinel position
-    and one (1, d_a) state per character.  Pure given params.
+    Returns (H, S): the (1, d_a) sentence vector from the sentinel position
+    and the (T, d_a) matrix whose row i is character i's state, forward
+    half first.  Pure given params.
     """
     ids = list(char_ids)
     if len(ids) < 2:
@@ -135,5 +126,5 @@ def encode(char_ids: Sequence[int], params: EncoderParams) -> tuple[Tensor, list
         h = params.bwd.step(xs[t], h)
         bwd_states[t] = h
 
-    combined = [ad.concat_cols([fwd_states[t], bwd_states[t]]) for t in range(n)]
-    return combined[0], combined[1:]
+    states = ad.concat_cols([ad.concat_rows(fwd_states[1:]), ad.concat_rows(bwd_states[1:])])
+    return ad.concat_cols([fwd_states[0], bwd_states[0]]), states

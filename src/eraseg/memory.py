@@ -6,34 +6,30 @@ rows of a shared value table.  The character's hidden state attends over
 the keys and the cell output is the probability-weighted sum of the value
 embeddings.  A character with no candidates reads a zero vector, neutral
 under both fusion modes.
+
+A read covers a whole sentence, its candidate lists padded to the longest
+one: memory grows with T * width, not with T * (candidates in the sentence).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, uniform
 from .lexicon import N_VALUE_CLASSES, Candidate
 
-INIT_RANGE = 0.1
+CandidateLists = Sequence[Sequence[Candidate]]  # [position][candidate]
 
 
 @dataclass
 class MemoryParams:
     key_tables: tuple[Tensor, ...]  # one (|D_d|, d_a) table per era
     value_table: Tensor  # (4, d_a), shared across eras
-
-    @property
-    def n_eras(self) -> int:
-        return len(self.key_tables)
-
-    @property
-    def d_a(self) -> int:
-        return self.value_table.shape[1]
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         out = [(f"memory.keys.{d}", t) for d, t in enumerate(self.key_tables)]
@@ -48,36 +44,64 @@ def init_memory_params(
         raise ValueError("need at least one era lexicon")
     if any(n < 1 for n in lexicon_sizes):
         raise ValueError(f"every era needs a nonempty lexicon, got sizes {list(lexicon_sizes)}")
-    u = lambda r, c: Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(r, c)))
     return MemoryParams(
-        key_tables=tuple(u(n, d_a) for n in lexicon_sizes),
-        value_table=u(N_VALUE_CLASSES, d_a),
+        key_tables=tuple(uniform(rng, n, d_a) for n in lexicon_sizes),
+        value_table=uniform(rng, N_VALUE_CLASSES, d_a),
     )
 
 
-def attend(h_i: Tensor, candidates: Sequence[Candidate], key_table: Tensor) -> Tensor:
-    """Distribution over the candidate keys: softmax of h_i dot each key."""
-    if not candidates:
-        raise ValueError("attend needs at least one candidate; caller skips empty sets")
-    keys = ad.gather_rows(key_table, [c.word_id for c in candidates])
-    scores = ad.matmul(h_i, ad.transpose(keys))
-    return ad.softmax_row(scores)
+def _pad(states: Tensor, candidates_per_position: CandidateLists) -> tuple[np.ndarray, ...]:
+    """(word ids, value classes, mask), each (T, width); padded slots are False in the mask."""
+    t_len = len(candidates_per_position)
+    if states.shape[0] != t_len:
+        raise ValueError(f"{states.shape[0]} states but candidates for {t_len} positions")
+    lengths = np.fromiter(map(len, candidates_per_position), dtype=np.intp, count=t_len)
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    slots = np.zeros(mask.shape + (2,), dtype=np.intp)
+    # Boolean-mask assignment fills row-major, the order the candidates come in.
+    flat = chain.from_iterable(chain.from_iterable(candidates_per_position))
+    slots[mask] = np.fromiter(flat, dtype=np.intp).reshape(-1, 2)
+    return slots[..., 0], slots[..., 1], mask
 
 
-def aggregate(p: Tensor, candidates: Sequence[Candidate], value_table: Tensor) -> Tensor:
-    """Probability-weighted sum of the candidates' value-class embeddings."""
-    if not candidates:
-        return Tensor(np.zeros((1, value_table.shape[1])))
-    if p.shape != (1, len(candidates)):
-        raise ValueError(f"weights {p.shape} do not match {len(candidates)} candidates")
-    values = ad.gather_rows(value_table, [c.value_class for c in candidates])
-    return ad.matmul(p, values)
+def _block_sums(blocks: int, width: int) -> Tensor:
+    """(blocks * width, blocks) constant; right-multiplying sums each run of width columns."""
+    return Tensor(np.repeat(np.eye(blocks), width, axis=0))
+
+
+def _attention(states: Tensor, word_ids: np.ndarray, mask: np.ndarray, key_table: Tensor) -> Tensor:
+    """attend's weights from the padded word ids and mask."""
+    t_len, width = mask.shape
+    if width == 0:
+        return Tensor(np.zeros((t_len, 0)))
+    keys = ad.concat_cols([ad.gather_rows(key_table, word_ids[:, j]) for j in range(width)])
+    dots = ad.mul(ad.concat_cols([states] * width), keys)
+    scores = ad.matmul(dots, _block_sums(width, key_table.shape[1]))
+    # -inf takes a padded slot out of its row's softmax; a row with no
+    # candidates keeps finite scores and is zeroed by the mask instead.
+    shift = np.where(mask | ~mask.any(axis=1, keepdims=True), 0.0, -np.inf)
+    return ad.mul(ad.softmax_row(ad.add(scores, Tensor(shift))), Tensor(mask))
+
+
+def attend(states: Tensor, candidates_per_position: CandidateLists, key_table: Tensor) -> Tensor:
+    """Attention weights of each character over its candidates' keys: (T, width).
+
+    Row i is the softmax of h_i dot each candidate's key, zero-padded to the
+    longest candidate list; a character with no candidates gets a zero row.
+    """
+    word_ids, _, mask = _pad(states, candidates_per_position)
+    return _attention(states, word_ids, mask, key_table)
 
 
 def read_cell(
-    h_i: Tensor, candidates: Sequence[Candidate], key_table: Tensor, value_table: Tensor
+    states: Tensor, candidates_per_position: CandidateLists, key_table: Tensor, value_table: Tensor
 ) -> Tensor:
-    """One era's memory output for one character: attend then aggregate."""
-    if not candidates:
-        return Tensor(np.zeros((1, value_table.shape[1])))
-    return aggregate(attend(h_i, candidates, key_table), candidates, value_table)
+    """One era's memory output for a whole sentence: (T, d_a) from (T, d_a) states."""
+    word_ids, classes, mask = _pad(states, candidates_per_position)
+    weights = _attention(states, word_ids, mask, key_table)
+    # class_mass[i, c], character i's weight on value class c, scales value
+    # row c.  Column c * width + j of in_class: slot j holds value class c.
+    in_class = classes[:, None, :] == np.arange(N_VALUE_CLASSES)[None, :, None]
+    spread = ad.mul(ad.concat_cols([weights] * N_VALUE_CLASSES), Tensor(in_class.reshape(len(mask), -1)))
+    class_mass = ad.matmul(spread, _block_sums(N_VALUE_CLASSES, mask.shape[1]))
+    return ad.matmul(class_mass, value_table)

@@ -4,8 +4,9 @@ The sentence vector feeds a linear era classifier.  Its distribution then
 drives how the per-era memory outputs are combined (see route): hard
 switching routes a single cell, soft switching takes the
 probability-weighted sum.
-The chosen memory output is fused with the character's hidden state
-through one affine layer, by element-wise sum or by concatenation.
+The chosen memory output is fused with the hidden states through one
+affine layer, by element-wise sum or by concatenation.  Cells and states
+are (T, d_a) matrices, one row per character of a sentence.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, uniform
 from .config import SWITCH_MODES
-
-INIT_RANGE = 0.1
 
 
 @dataclass
@@ -49,18 +48,12 @@ def init_discriminator_params(
 ) -> DiscriminatorParams:
     if n_eras < 2:
         raise ValueError(f"need at least 2 eras, got {n_eras}")
-    return DiscriminatorParams(
-        weight=Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(d_a, n_eras))),
-        bias=Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(1, n_eras))),
-    )
+    return DiscriminatorParams(weight=uniform(rng, d_a, n_eras), bias=uniform(rng, 1, n_eras))
 
 
 def init_fusion_params(rng: np.random.Generator, d_a: int, fusion: str) -> FusionParams:
     d_in = fused_input_dim(d_a, fusion)
-    return FusionParams(
-        weight=Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(d_in, d_a))),
-        bias=Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(1, d_a))),
-    )
+    return FusionParams(weight=uniform(rng, d_in, d_a), bias=uniform(rng, 1, d_a))
 
 
 def fused_input_dim(d_a: int, fusion: str) -> int:
@@ -124,7 +117,7 @@ def switch(
     gold_era: int | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Combine the per-era memory outputs into one vector, as route decides."""
+    """Combine the per-era memory outputs into one matrix, as route decides."""
     cells = list(cell_outputs)
     if era_probs.shape != (1, len(cells)):
         raise ValueError(f"{len(cells)} cells but era distribution of shape {era_probs.shape}")
@@ -139,12 +132,12 @@ def switch(
     return out
 
 
-def fuse(o_i: Tensor, h_i: Tensor, params: FusionParams, mode: str) -> Tensor:
-    """Affine map of the memory output joined with the hidden state."""
+def fuse(cell: Tensor, states: Tensor, params: FusionParams, mode: str) -> Tensor:
+    """Affine map of each row of the memory output joined with its hidden state."""
     if mode == "sum":
-        joined = ad.add(o_i, h_i)
+        joined = ad.add(cell, states)
     elif mode == "concat":
-        joined = ad.concat_cols([o_i, h_i])
+        joined = ad.concat_cols([cell, states])
     else:
         raise ValueError(f"unknown fusion mode {mode!r}")
     if params.weight.shape[0] != joined.shape[1]:

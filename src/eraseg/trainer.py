@@ -125,36 +125,28 @@ def _assemble_features(
     params: ModelParams,
     prep: PreparedSentence,
     config: Config,
-    states: list[Tensor],
+    states: Tensor,
     era: int | None,
     era_probs: Tensor | None,
 ) -> Tensor:
-    """Per-character fused features as a (T, d_a) matrix.
+    """Fused features of the (T, d_a) states, as a (T, d_a) matrix.
 
-    Every position reads era's memory cell, or with era None (see
-    switcher.route) all cells, switched by era_probs.  With the memory
+    The sentence reads era's memory cell, or with era None (see
+    switcher.route) every cell, switched by era_probs.  With the memory
     disabled the cell output is pinned to zero and only the fusion layer runs.
     """
-    zero_cell = Tensor(np.zeros((1, config.d_a)))
-    rows = []
-    for i, h_i in enumerate(states):
-        if not config.memory_enabled:
-            o_i = zero_cell
-        elif era is not None:
-            o_i = read_cell(
-                h_i,
-                prep.candidates[era][i],
-                params.memory.key_tables[era],
-                params.memory.value_table,
-            )
-        else:
-            cells = [
-                read_cell(h_i, prep.candidates[d][i], params.memory.key_tables[d], params.memory.value_table)
-                for d in range(config.eras)
-            ]
-            o_i = switch(cells, era_probs, config.switch_mode)
-        rows.append(fuse(o_i, h_i, params.fusion, config.fusion))
-    return ad.concat_rows(rows)
+    memory = params.memory
+    if not config.memory_enabled:
+        cell = Tensor(np.zeros(states.shape))
+    elif era is not None:
+        cell = read_cell(states, prep.candidates[era], memory.key_tables[era], memory.value_table)
+    else:
+        cells = [
+            read_cell(states, prep.candidates[d], memory.key_tables[d], memory.value_table)
+            for d in range(config.eras)
+        ]
+        cell = switch(cells, era_probs, config.switch_mode)
+    return fuse(cell, states, params.fusion, config.fusion)
 
 
 def sentence_loss(

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the fast code is tested against.
 
 Everything here favors obviousness over speed: full enumeration of tag
-sequences, plain python loops, no shared code with the library internals.
+sequences, plain python loops, one position at a time, no shared code with
+the library internals.
 """
 
 import itertools
@@ -13,20 +14,20 @@ N_LABELS = 4
 START_ROW = 4
 
 
-def enumerate_sequences(emit, trans):
-    """Score every tag sequence of length T in lexicographic order.
+def path_score(emit, trans, tags):
+    """Start transition + emissions + pairwise transitions, summed left to right."""
+    score = trans[START_ROW, tags[0]] + emit[0, tags[0]]
+    for t in range(1, len(tags)):
+        score += trans[tags[t - 1], tags[t]] + emit[t, tags[t]]
+    return score
 
-    Yields (tags, score) with score = start transition + emissions +
-    pairwise transitions, summed left to right.
-    """
+
+def enumerate_sequences(emit, trans):
+    """Score every tag sequence of length T in lexicographic order: (tags, score)."""
     emit = np.asarray(emit, dtype=np.float64)
     trans = np.asarray(trans, dtype=np.float64)
-    t_len = emit.shape[0]
-    for tags in itertools.product(range(N_LABELS), repeat=t_len):
-        score = trans[START_ROW, tags[0]] + emit[0, tags[0]]
-        for t in range(1, t_len):
-            score += trans[tags[t - 1], tags[t]] + emit[t, tags[t]]
-        yield list(tags), score
+    for tags in itertools.product(range(N_LABELS), repeat=emit.shape[0]):
+        yield list(tags), path_score(emit, trans, tags)
 
 
 def brute_log_partition(emit, trans):
@@ -66,6 +67,26 @@ def brute_marginals(emit, trans):
 def total_probability(emit, trans):
     log_z = brute_log_partition(emit, trans)
     return sum(math.exp(s - log_z) for _, s in enumerate_sequences(emit, trans))
+
+
+def read_cell_per_position(states, candidates_per_position, keys, values):
+    """One era's memory read, one character at a time.
+
+    Character i attends over its candidates' keys (softmax of h_i dot
+    each key) and reads the weighted sum of their value-class rows; a
+    character with no candidates reads zeros.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    out = np.zeros((len(candidates_per_position), values.shape[1]))
+    for i, cands in enumerate(candidates_per_position):
+        if not cands:
+            continue
+        scores = np.array([states[i] @ keys[word_id] for word_id, _ in cands])
+        e = np.exp(scores - scores.max())
+        p = e / e.sum()
+        for p_j, (_, value_class) in zip(p, cands):
+            out[i] += p_j * values[value_class]
+    return out
 
 
 def split_long_recursive(words, max_len, punct):

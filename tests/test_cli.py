@@ -96,6 +96,17 @@ class TestUsageErrors:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_lr(self, workspace, tmp_path, capsys, lr):
+        rc = main(
+            ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
+             "--out", str(tmp_path / "x.ckpt"), *COMMON, "--set", f"lr={lr}"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lr must be positive and finite" in err
+        assert "epoch 1:" not in err
+
     def test_unknown_config_key(self, workspace):
         rc = main(
             ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
@@ -130,7 +141,19 @@ class TestDataErrors:
              "--out", str(tmp_path / "missing" / "x.ckpt"), *COMMON]
         )
         assert rc == 2
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "epoch 1:" not in err  # rejected before training starts
+
+    def test_train_out_is_a_directory(self, tmp_path, workspace, capsys):
+        rc = main(
+            ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
+             "--out", str(tmp_path), *COMMON]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "epoch 1:" not in err
 
     def test_segment_out_in_missing_directory(self, tmp_path, workspace, capsys):
         rc = main(

@@ -245,13 +245,14 @@ class TestSyntheticCorpus:
 
     def test_test_set_has_oov_types(self):
         train, test = make_synthetic_corpus(7, 2000, 400)
-        oov = test.word_types() - train.word_types()
-        assert len(oov) > 0
+        train_types = {w for s in train.sentences for w in s.words}
+        test_types = {w for s in test.sentences for w in s.words}
+        assert len(test_types - train_types) > 0
 
     def test_both_eras_present(self):
         train, test = make_synthetic_corpus(7, 10, 4)
-        assert train.era_ids() == {0, 1}
-        assert test.era_ids() == {0, 1}
+        assert {s.era_id for s in train.sentences} == {0, 1}
+        assert {s.era_id for s in test.sentences} == {0, 1}
 
     def test_size_validation(self):
         with pytest.raises(DataError):

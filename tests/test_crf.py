@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eraseg import autodiff as ad
 from eraseg.autodiff import Tensor
@@ -22,6 +23,7 @@ from _oracles import (
     brute_marginals,
     brute_nll,
     brute_viterbi,
+    path_score,
     total_probability,
 )
 
@@ -86,6 +88,27 @@ class TestSequenceScore:
         got = sequence_score(Tensor(emit), Tensor(trans), tags).value[0, 0]
         want = trans[START, 2] + emit[0, 2] + trans[2, 0] + emit[1, 0] + trans[0, 3] + emit[2, 3]
         assert abs(got - want) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(tags=st.lists(st.integers(0, N_LABELS - 1), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_left_to_right_sum(self, tags, seed):
+        rng = np.random.default_rng(seed)
+        emit = rng.normal(size=(len(tags), N_LABELS)) * 3.0
+        trans = rng.normal(size=(N_LABELS + 1, N_LABELS)) * 3.0
+        emit_t, trans_t = Tensor(emit), Tensor(trans)
+        score = sequence_score(emit_t, trans_t, tags)
+        assert abs(score.value[0, 0] - path_score(emit, trans, tags)) < 1e-12
+        # The score is linear: each entry's gradient counts its uses on the path.
+        score.backward()
+        want_emit, want_trans = np.zeros_like(emit), np.zeros_like(trans)
+        prev = START
+        for t, y in enumerate(tags):
+            want_emit[t, y] += 1.0
+            want_trans[prev, y] += 1.0
+            prev = y
+        np.testing.assert_array_equal(emit_t.grad, want_emit)
+        np.testing.assert_array_equal(trans_t.grad, want_trans)
 
     def test_rejects_bad_tags(self):
         emit, trans = random_instance(2)

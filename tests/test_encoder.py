@@ -20,7 +20,7 @@ class TestInit:
         assert p.embeddings.shape == (7, 5)
         assert p.fwd.w_gates.shape == (5, 6)
         assert p.fwd.u_cand.shape == (3, 3)
-        assert p.d_a == 6
+        assert p.bwd.u_cand.shape == (3, 3)  # d_a = 6 split across the directions
 
     def test_values_inside_init_range(self):
         for _, t in params().named_tensors():
@@ -45,8 +45,7 @@ class TestEncode:
         p = params(d_a=6)
         h_sent, states = encode([2, 3, 4, 5], p)
         assert h_sent.shape == (1, 6)
-        assert len(states) == 3
-        assert all(s.shape == (1, 6) for s in states)
+        assert states.shape == (3, 6)
 
     def test_sentinel_only_rejected(self):
         with pytest.raises(ValueError, match="empty sentence"):
@@ -62,10 +61,7 @@ class TestEncode:
         p = params()
         _, states_ab = encode([2, 3, 4], p)
         _, states_ba = encode([2, 4, 3], p)
-        deltas = [
-            np.abs(x.value - y.value).max() for x, y in zip(states_ab, states_ba)
-        ]
-        assert max(deltas) > 1e-8
+        assert np.abs(states_ab.value - states_ba.value).max() > 1e-8
 
     def test_context_flows_both_directions(self):
         # Changing the last character must reach the first position's state
@@ -73,9 +69,9 @@ class TestEncode:
         p = params()
         _, s1 = encode([2, 3, 4, 5], p)
         _, s2 = encode([2, 3, 4, 6], p)
-        assert np.abs(s1[0].value - s2[0].value).max() > 1e-10
+        assert np.abs(s1.value[0] - s2.value[0]).max() > 1e-10
         _, s3 = encode([2, 6, 4, 5], p)
-        assert np.abs(s1[-1].value - s3[-1].value).max() > 1e-10
+        assert np.abs(s1.value[-1] - s3.value[-1]).max() > 1e-10
 
     def test_sentence_vector_depends_on_whole_sentence(self):
         p = params()
@@ -100,13 +96,10 @@ class TestGradients:
         p = params(vocab=6, d_e=3, d_a=4)
         rng = np.random.default_rng(9)
         w_sent = Tensor(rng.normal(size=(1, 4)))
-        w_char = Tensor(rng.normal(size=(1, 4)))
+        w_char = Tensor(rng.normal(size=(2, 4)))
 
         def build():
             h_sent, states = encode([2, 3, 4], p)
-            loss = ad.sum_all(ad.mul(h_sent, w_sent))
-            for s in states:
-                loss = ad.add(loss, ad.sum_all(ad.mul(s, w_char)))
-            return loss
+            return ad.add(ad.sum_all(ad.mul(h_sent, w_sent)), ad.sum_all(ad.mul(states, w_char)))
 
         assert ad.grad_check(build, all_tensors(p)) < 1e-4

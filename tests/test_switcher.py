@@ -22,8 +22,11 @@ from eraseg.switcher import (
 RNG = np.random.default_rng(20240814)
 
 
+T_LEN = 5  # characters per sentence: cells and states are (T, d_a)
+
+
 def cells(n, d_a=3):
-    return [Tensor(RNG.normal(size=(1, d_a))) for _ in range(n)]
+    return [Tensor(RNG.normal(size=(T_LEN, d_a))) for _ in range(n)]
 
 
 class TestClassifyEra:
@@ -82,7 +85,7 @@ class TestSwitch:
             np.testing.assert_allclose(soft.value, hard.value, atol=1e-12)
 
     def test_uniform_probs_identical_cells_reproduce_cell(self):
-        base = Tensor(RNG.normal(size=(1, 3)))
+        base = Tensor(RNG.normal(size=(T_LEN, 3)))
         os = [Tensor(base.value.copy()) for _ in range(4)]
         out = switch(os, Tensor(np.full((1, 4), 0.25)), "soft")
         np.testing.assert_allclose(out.value, base.value, atol=1e-12)
@@ -135,31 +138,31 @@ class TestFuse:
     def test_sum_mode_zero_memory_is_affine_of_hidden(self):
         d = 3
         p = init_fusion_params(RNG, d_a=d, fusion="sum")
-        h = Tensor(RNG.normal(size=(1, d)))
-        out = fuse(Tensor(np.zeros((1, d))), h, p, "sum")
+        h = Tensor(RNG.normal(size=(T_LEN, d)))
+        out = fuse(Tensor(np.zeros((T_LEN, d))), h, p, "sum")
         np.testing.assert_allclose(out.value, h.value @ p.weight.value + p.bias.value)
 
     def test_identity_weight_recovers_hidden(self):
         d = 3
         p = FusionParams(weight=Tensor(np.eye(d)), bias=Tensor(np.zeros((1, d))))
-        h = Tensor(RNG.normal(size=(1, d)))
-        out = fuse(Tensor(np.zeros((1, d))), h, p, "sum")
+        h = Tensor(RNG.normal(size=(T_LEN, d)))
+        out = fuse(Tensor(np.zeros((T_LEN, d))), h, p, "sum")
         np.testing.assert_allclose(out.value, h.value, atol=1e-12)
 
     def test_concat_identity_block_recovers_hidden(self):
         d = 3
         w = np.vstack([np.zeros((d, d)), np.eye(d)])  # ignore memory half
         p = FusionParams(weight=Tensor(w), bias=Tensor(np.zeros((1, d))))
-        h = Tensor(RNG.normal(size=(1, d)))
-        out = fuse(Tensor(RNG.normal(size=(1, d))), h, p, "concat")
+        h = Tensor(RNG.normal(size=(T_LEN, d)))
+        out = fuse(Tensor(RNG.normal(size=(T_LEN, d))), h, p, "concat")
         np.testing.assert_allclose(out.value, h.value, atol=1e-12)
 
     def test_output_dim_is_d_a_for_both_modes(self):
         d = 4
-        h, o = Tensor(RNG.normal(size=(1, d))), Tensor(RNG.normal(size=(1, d)))
+        h, o = Tensor(RNG.normal(size=(T_LEN, d))), Tensor(RNG.normal(size=(T_LEN, d)))
         for mode in ("sum", "concat"):
             p = init_fusion_params(RNG, d_a=d, fusion=mode)
-            assert fuse(o, h, p, mode).shape == (1, d)
+            assert fuse(o, h, p, mode).shape == (T_LEN, d)
 
     def test_mode_param_mismatch_rejected(self):
         d = 3
@@ -177,9 +180,9 @@ class TestFuse:
         disc = init_discriminator_params(RNG, d_a=d, n_eras=2)
         fus = init_fusion_params(RNG, d_a=d, fusion="concat")
         h_sent = Tensor(RNG.normal(size=(1, d)))
-        h_char = Tensor(RNG.normal(size=(1, d)))
+        h_char = Tensor(RNG.normal(size=(T_LEN, d)))
         os = cells(2, d_a=d)
-        w = Tensor(RNG.normal(size=(1, d)))
+        w = Tensor(RNG.normal(size=(T_LEN, d)))
         leaves = [h_sent, h_char] + os + [t for _, t in disc.named_tensors()]
         leaves += [t for _, t in fus.named_tensors()]
 
