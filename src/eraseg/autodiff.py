@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over 2D float64 arrays.
 
-Graphs are built define-by-run: every op returns a new Tensor holding its
-value, its parent tensors, and a closure that takes the op's output
+Graphs are built define-by-run: every op returns a new Tensor built from
+its value, its parent tensors, and a closure that takes the op's output
 gradient and pushes it back to the parents.  The closure never refers to
 its own output tensor, so a graph holds no reference cycle and is freed by
 reference counting as soon as its root is dropped.  backward() walks the
@@ -21,22 +21,21 @@ import numpy as np
 class Tensor:
     """One node: a 2D float64 value plus gradient plumbing."""
 
-    __slots__ = ("value", "grad", "name", "_parents", "_backward", "_backward_done")
+    __slots__ = ("value", "grad", "_parents", "_backward", "_backward_done")
 
     def __init__(
         self,
         value,
         parents: tuple["Tensor", ...] = (),
-        name: str | None = None,
+        backward: Callable[[np.ndarray], None] | None = None,
     ):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2D, got shape {arr.shape}")
         self.value = arr
         self.grad = None if parents else np.zeros(arr.shape)
-        self.name = name
         self._parents = parents
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward = backward
         self._backward_done = False
 
     @property
@@ -65,8 +64,7 @@ class Tensor:
                 fn(node.grad)
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.value.shape})"
+        return f"Tensor(shape={self.value.shape})"
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -92,7 +90,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def const(value, name: str | None = None) -> Tensor:
+def const(value) -> Tensor:
     """Wrap a scalar, vector, or matrix as a leaf tensor.
 
     Scalars become (1,1), flat sequences become single rows.
@@ -102,7 +100,7 @@ def const(value, name: str | None = None) -> Tensor:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    return Tensor(arr, name=name)
+    return Tensor(arr)
 
 
 INIT_RANGE = 0.1
@@ -138,75 +136,55 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; size-1 axes broadcast."""
     _check_broadcast(a, b, "add")
-    out = Tensor(a.value + b.value, parents=(a, b))
 
     def backward(g):
         a.grad += _unbroadcast(g, a.shape)
         b.grad += _unbroadcast(g, b.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise difference; size-1 axes broadcast."""
     _check_broadcast(a, b, "sub")
-    out = Tensor(a.value - b.value, parents=(a, b))
 
     def backward(g):
         a.grad += _unbroadcast(g, a.shape)
         b.grad -= _unbroadcast(g, b.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(a.value - b.value, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; size-1 axes broadcast."""
     _check_broadcast(a, b, "mul")
-    out = Tensor(a.value * b.value, parents=(a, b))
 
     def backward(g):
         a.grad += _unbroadcast(g * b.value, a.shape)
         b.grad += _unbroadcast(g * a.value, b.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(a.value * b.value, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python float (not part of the graph)."""
     c = float(c)
-    out = Tensor(a.value * c, parents=(a,))
 
     def backward(g):
         a.grad += g * c
 
-    out._backward = backward
-    return out
+    return Tensor(a.value * c, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = Tensor(a.value @ b.value, parents=(a, b))
 
     def backward(g):
         a.grad += g @ b.value.T
         b.grad += a.value.T @ g
 
-    out._backward = backward
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.value.T.copy(), parents=(a,))
-
-    def backward(g):
-        a.grad += g.T
-
-    out._backward = backward
-    return out
+    return Tensor(a.value @ b.value, (a, b), backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -217,7 +195,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     rows = parts[0].shape[0]
     if any(p.shape[0] != rows for p in parts):
         raise ValueError(f"concat_cols: row counts differ: {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.value for p in parts], axis=1), parents=parts)
 
     def backward(g):
         col = 0
@@ -226,8 +203,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             p.grad += g[:, col : col + w]
             col += w
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([p.value for p in parts], axis=1), parts, backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -238,7 +214,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     cols = parts[0].shape[1]
     if any(p.shape[1] != cols for p in parts):
         raise ValueError(f"concat_rows: column counts differ: {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.value for p in parts], axis=0), parents=parts)
 
     def backward(g):
         row = 0
@@ -247,20 +222,17 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             p.grad += g[row : row + h, :]
             row += h
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([p.value for p in parts], axis=0), parts, backward)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= a.shape[1]):
         raise ValueError(f"slice_cols[{start}:{stop}] out of range for {a.shape}")
-    out = Tensor(a.value[:, start:stop].copy(), parents=(a,))
 
     def backward(g):
         a.grad[:, start:stop] += g
 
-    out._backward = backward
-    return out
+    return Tensor(a.value[:, start:stop].copy(), (a,), backward)
 
 
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
@@ -271,13 +243,11 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     n = a.shape[0]
     if any(not (0 <= i < n) for i in idx):
         raise ValueError(f"gather_rows: index out of range for {a.shape}: {idx}")
-    out = Tensor(a.value[idx, :], parents=(a,))
 
     def backward(g):
         np.add.at(a.grad, idx, g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.value[idx, :], (a,), backward)
 
 
 def pick(a: Tensor, i: int, j: int) -> Tensor:
@@ -285,34 +255,27 @@ def pick(a: Tensor, i: int, j: int) -> Tensor:
     n, m = a.shape
     if not (0 <= i < n and 0 <= j < m):
         raise ValueError(f"pick({i},{j}) out of range for {a.shape}")
-    out = Tensor(a.value[i : i + 1, j : j + 1].copy(), parents=(a,))
 
     def backward(g):
         a.grad[i, j] += g[0, 0]
 
-    out._backward = backward
-    return out
+    return Tensor(a.value[i : i + 1, j : j + 1].copy(), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.array([[a.value.sum()]]), parents=(a,))
-
     def backward(g):
         a.grad += g[0, 0]
 
-    out._backward = backward
-    return out
+    return Tensor(np.array([[a.value.sum()]]), (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
     val = np.tanh(a.value)
-    out = Tensor(val, parents=(a,))
 
     def backward(g):
         a.grad += g * (1.0 - val * val)
 
-    out._backward = backward
-    return out
+    return Tensor(val, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -321,13 +284,11 @@ def sigmoid(a: Tensor) -> Tensor:
     # exp(x) / (1 + exp(x)).
     e = np.exp(-np.abs(a.value))
     val = np.where(a.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(val, parents=(a,))
 
     def backward(g):
         a.grad += g * val * (1.0 - val)
 
-    out._backward = backward
-    return out
+    return Tensor(val, (a,), backward)
 
 
 def _row_softmax(values: np.ndarray) -> np.ndarray:
@@ -339,42 +300,24 @@ def _row_softmax(values: np.ndarray) -> np.ndarray:
 def softmax_row(a: Tensor) -> Tensor:
     """Softmax across the columns of each row."""
     p = _row_softmax(a.value)
-    out = Tensor(p, parents=(a,))
 
     def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         a.grad += p * (g - dot)
 
-    out._backward = backward
-    return out
+    return Tensor(p, (a,), backward)
 
 
 def log_softmax_row(a: Tensor) -> Tensor:
     """Log-softmax across the columns of each row (stable)."""
     shifted = a.value - a.value.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor(shifted - lse, parents=(a,))
     p = _row_softmax(a.value)
 
     def backward(g):
         a.grad += g - p * g.sum(axis=1, keepdims=True)
 
-    out._backward = backward
-    return out
-
-
-def logsumexp_row(a: Tensor) -> Tensor:
-    """log(sum(exp(row))) per row: (n,m) -> (n,1), stable for large inputs."""
-    m = a.value.max(axis=1, keepdims=True)
-    out_val = m + np.log(np.exp(a.value - m).sum(axis=1, keepdims=True))
-    out = Tensor(out_val, parents=(a,))
-    p = _row_softmax(a.value)
-
-    def backward(g):
-        a.grad += g * p
-
-    out._backward = backward
-    return out
+    return Tensor(shifted - lse, (a,), backward)
 
 
 def grad_check(

@@ -2,9 +2,11 @@
 
 Scores a tag sequence as the sum of per-position emission scores and
 pairwise transition scores, with one extra virtual row of transitions out
-of a start state so the first position has a prior.  The partition
-function runs the forward algorithm in log space inside the autodiff
-graph; decoding runs outside it in plain numpy.
+of a start state so the first position has a prior.  One numpy suffix
+recursion serves both passes over the chain: with max it gives Viterbi's
+best suffix scores, with log-sum-exp the forward and backward log scores
+of the partition function.  The partition function is one autodiff node
+whose backward pass adds the forward-backward marginals.
 """
 
 from __future__ import annotations
@@ -64,22 +66,67 @@ def sequence_score(emit: Tensor, transitions: Tensor, tags: Sequence[int]) -> Te
     )
 
 
-def log_partition(emit: Tensor, transitions: Tensor) -> Tensor:
-    """log of the summed exp path score over all 4^T sequences.
-
-    Forward recursion: alpha starts from the START transitions and the
-    first emissions; each step does a log-sum-exp over the previous alpha
-    plus the transition into every label.
-    """
-    t_len = emit.shape[0]
-    if t_len < 1:
+def _check_chain(emit: np.ndarray, transitions: np.ndarray) -> None:
+    if emit.ndim != 2 or emit.shape[1] != N_LABELS:
+        raise ValueError(f"emissions must be (T, {N_LABELS}), got {emit.shape}")
+    if transitions.shape != (N_LABELS + 1, N_LABELS):
+        raise ValueError(f"transitions must be {(N_LABELS + 1, N_LABELS)}, got {transitions.shape}")
+    if emit.shape[0] < 1:
         raise ValueError("need at least one position")
-    core_t = ad.transpose(ad.gather_rows(transitions, list(range(N_LABELS))))  # [to, from]
-    alpha = ad.add(ad.gather_rows(emit, [0]), ad.gather_rows(transitions, [START]))
-    for t in range(1, t_len):
-        reached = ad.transpose(ad.logsumexp_row(ad.add(core_t, alpha)))  # (1, 4)
-        alpha = ad.add(reached, ad.gather_rows(emit, [t]))
-    return ad.logsumexp_row(alpha)
+
+
+def _suffix_scores(emit: np.ndarray, core: np.ndarray, reduce) -> np.ndarray:
+    """beta[t, y] = emit[t, y] + reduce over z of (core[y, z] + beta[t + 1, z]).
+
+    reduce is a ufunc reduction (np.maximum.reduce, np.logaddexp.reduce);
+    the last row is the last emission.
+    """
+    beta = np.empty(emit.shape)
+    beta[-1] = emit[-1]
+    for t in range(len(emit) - 2, -1, -1):
+        beta[t] = emit[t] + reduce(core + beta[t + 1], axis=1)
+    return beta
+
+
+def _row_probs(log_scores: np.ndarray) -> np.ndarray:
+    """exp(row - logsumexp(row)) per row.
+
+    Every row of the marginals' log scores sums to log Z in exact
+    arithmetic.  Normalizing each row by its own sum rather than by log Z
+    drops the rounding error that alpha and beta accumulate along a long
+    chain of large scores.
+    """
+    return np.exp(log_scores - np.logaddexp.reduce(log_scores, axis=1)[:, None])
+
+
+def log_partition(emit: Tensor, transitions: Tensor) -> Tensor:
+    """log of the summed exp path score over all 4^T sequences, as one node.
+
+    alpha[t, y], the log-sum-exp score of the prefixes ending in y at t,
+    is the suffix recursion run over the reversed sentence with the
+    transitions transposed and the START row added to the first emission;
+    beta is the same recursion run forward.  The backward pass adds the marginals:
+    P(y_t = y) to emit.grad, and each transition's expected number of
+    uses to transitions.grad.
+    """
+    _check_chain(emit.value, transitions.value)
+    core = transitions.value[:N_LABELS]
+    first = emit.value.copy()
+    first[0] += transitions.value[START]
+    alpha = _suffix_scores(first[::-1], core.T, np.logaddexp.reduce)[::-1]
+    log_z = np.logaddexp.reduce(alpha[-1])
+
+    def backward(g):
+        g = g[0, 0]
+        beta = _suffix_scores(emit.value, core, np.logaddexp.reduce)
+        node = _row_probs(alpha + beta - emit.value)  # P(y_t = y)
+        edge = alpha[:-1, :, None] + core + beta[1:, None, :]  # log P(y_t, y_t+1), unnormalized
+        edge = _row_probs(edge.reshape(-1, N_LABELS * N_LABELS))
+        emit.grad += g * node
+        transitions.grad[:N_LABELS] += g * edge.sum(axis=0).reshape(N_LABELS, N_LABELS)
+        transitions.grad[START] += g * node[0]
+
+    return Tensor([[log_z]], (emit, transitions), backward)
 
 
 def nll(emit: Tensor, transitions: Tensor, tags: Sequence[int]) -> Tensor:
@@ -100,23 +147,12 @@ def viterbi(emit: np.ndarray, transitions: np.ndarray) -> tuple[list[int], float
     """
     emit = np.asarray(emit, dtype=np.float64)
     transitions = np.asarray(transitions, dtype=np.float64)
-    if emit.ndim != 2 or emit.shape[1] != N_LABELS:
-        raise ValueError(f"emissions must be (T, {N_LABELS}), got {emit.shape}")
-    if transitions.shape != (N_LABELS + 1, N_LABELS):
-        raise ValueError(f"transitions must be {(N_LABELS + 1, N_LABELS)}, got {transitions.shape}")
-    t_len = emit.shape[0]
-    if t_len < 1:
-        raise ValueError("need at least one position")
-
+    _check_chain(emit, transitions)
     core = transitions[:N_LABELS, :]
-    beta = np.empty((t_len, N_LABELS))
-    beta[t_len - 1] = emit[t_len - 1]
-    for t in range(t_len - 2, -1, -1):
-        # core[y, :] + beta[t+1, :] maximized over the next label
-        beta[t] = emit[t] + (core + beta[t + 1][None, :]).max(axis=1)
+    beta = _suffix_scores(emit, core, np.maximum.reduce)
 
     first = transitions[START] + beta[0]
     tags = [int(np.argmax(first))]  # argmax returns the first (lowest) index
-    for t in range(1, t_len):
+    for t in range(1, len(emit)):
         tags.append(int(np.argmax(core[tags[-1]] + beta[t])))
     return tags, float(first[tags[0]])

@@ -196,34 +196,32 @@ def predict_sentence(
 # Optimization
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction; state arrays mirror the tensors."""
 
-    def __init__(
-        self,
-        tensors: Sequence[Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, tensors: Sequence[Tensor], lr: float):
         self.tensors = list(tensors)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.step_count = 0
         self._m = [np.zeros_like(t.value) for t in self.tensors]
         self._v = [np.zeros_like(t.value) for t in self.tensors]
 
     def step(self) -> None:
         self.step_count += 1
-        correct1 = 1.0 - self.beta1**self.step_count
-        correct2 = 1.0 - self.beta2**self.step_count
+        correct1 = 1.0 - ADAM_BETA1**self.step_count
+        correct2 = 1.0 - ADAM_BETA2**self.step_count
         for t, m, v in zip(self.tensors, self._m, self._v):
             g = t.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            t.value -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            t.value -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
     def zero_grads(self) -> None:
         for t in self.tensors:
@@ -313,6 +311,9 @@ def train(
     lexicons = tuple(lexicons)
     if len(lexicons) != config.eras:
         raise DataError(f"{len(lexicons)} lexicons for {config.eras} eras")
+    empty = [d for d, lex in enumerate(lexicons) if len(lex) == 0]
+    if empty:
+        raise DataError(f"empty dictionary for eras {empty}")
 
     vocab = Vocab.from_corpus(train_corpus)
     rng = np.random.default_rng(config.seed)

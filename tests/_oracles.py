@@ -64,6 +64,38 @@ def brute_marginals(emit, trans):
     return out
 
 
+def brute_transition_marginals(emit, trans):
+    """Expected uses of each of the 5 x 4 transition entries, from full enumeration.
+
+    Row START_ROW counts the start transition into y_0; rows 0..3 count the
+    steps y_{t-1} -> y_t.
+    """
+    log_z = brute_log_partition(emit, trans)
+    out = np.zeros((N_LABELS + 1, N_LABELS))
+    for tags, score in enumerate_sequences(emit, trans):
+        p = math.exp(score - log_z)
+        out[START_ROW, tags[0]] += p
+        for t in range(1, len(tags)):
+            out[tags[t - 1], tags[t]] += p
+    return out
+
+
+def forward_log_partition(emit, trans):
+    """The forward algorithm, left to right, one position and one label at a time."""
+    emit = np.asarray(emit, dtype=np.float64)
+    trans = np.asarray(trans, dtype=np.float64)
+    alpha = [trans[START_ROW, y] + emit[0, y] for y in range(N_LABELS)]
+    for t in range(1, emit.shape[0]):
+        nxt = []
+        for y in range(N_LABELS):
+            terms = [alpha[z] + trans[z, y] for z in range(N_LABELS)]
+            m = max(terms)
+            nxt.append(m + math.log(sum(math.exp(x - m) for x in terms)) + emit[t, y])
+        alpha = nxt
+    m = max(alpha)
+    return m + math.log(sum(math.exp(x - m) for x in alpha))
+
+
 def total_probability(emit, trans):
     log_z = brute_log_partition(emit, trans)
     return sum(math.exp(s - log_z) for _, s in enumerate_sequences(emit, trans))

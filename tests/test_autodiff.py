@@ -28,14 +28,6 @@ class TestForwardValues:
         p = ad.softmax_row(leaf(4, 7, scale=3.0))
         np.testing.assert_allclose(p.value.sum(axis=1), np.ones(4), atol=1e-12)
 
-    def test_logsumexp_known_point(self):
-        out = ad.logsumexp_row(const([0.0, 0.0]))
-        np.testing.assert_allclose(out.value, [[math.log(2.0)]], atol=1e-12)
-
-    def test_logsumexp_stable_for_large_inputs(self):
-        out = ad.logsumexp_row(const([1000.0, 1000.0]))
-        np.testing.assert_allclose(out.value, [[1000.0 + math.log(2.0)]])
-
     def test_log_softmax_matches_log_of_softmax(self):
         x = leaf(3, 5)
         np.testing.assert_allclose(
@@ -168,9 +160,6 @@ class TestGradCheck:
     def test_matmul(self):
         self.check(ad.matmul, leaf(3, 4), leaf(4, 2))
 
-    def test_transpose(self):
-        self.check(ad.transpose, leaf(3, 4))
-
     def test_concat_cols(self):
         self.check(lambda a, b: ad.concat_cols([a, b]), leaf(3, 2), leaf(3, 4))
 
@@ -201,9 +190,6 @@ class TestGradCheck:
     def test_log_softmax_row(self):
         self.check(ad.log_softmax_row, leaf(3, 5))
 
-    def test_logsumexp_row(self):
-        self.check(ad.logsumexp_row, leaf(3, 5))
-
     def test_composite_expression(self):
         a, b, c = leaf(2, 3), leaf(3, 4), leaf(1, 4)
         w = Tensor(RNG.normal(size=(2, 4)))
@@ -218,13 +204,11 @@ class TestGradCheck:
         # An op with a wrong derivative must blow past the tolerance.
         def bad_tanh(a):
             val = np.tanh(a.value)
-            out = Tensor(val, parents=(a,))
 
             def backward(g):
                 a.grad += g * (1.0 - val)  # missing a factor of (1 + val)
 
-            out._backward = backward
-            return out
+            return Tensor(val, (a,), backward)
 
         x = Tensor(RNG.normal(size=(2, 3)) + 0.5)
         w = Tensor(RNG.normal(size=(2, 3)))

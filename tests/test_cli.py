@@ -172,6 +172,21 @@ class TestDataErrors:
         assert rc == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["", "\n\n\n"], ids=["empty", "blank-lines"])
+    def test_empty_dictionary(self, tmp_path, workspace, capsys, content):
+        dicts = tmp_path / "dicts"
+        dicts.mkdir()
+        (dicts / "era0.dict").write_text(content, encoding="utf-8")
+        (dicts / "era1.dict").write_text("金水\n", encoding="utf-8")
+        rc = main(
+            ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
+             "--dict-dir", str(dicts), "--out", str(tmp_path / "x.ckpt"), *COMMON]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: empty dictionary for eras [0]" in err
+        assert "epoch 1:" not in err
+
     def test_eval_era_beyond_checkpoint(self, workspace):
         rc = main(
             ["eval", f"5={workspace / 'test0.txt'}",

@@ -22,7 +22,9 @@ from _oracles import (
     brute_log_partition,
     brute_marginals,
     brute_nll,
+    brute_transition_marginals,
     brute_viterbi,
+    forward_log_partition,
     path_score,
     total_probability,
 )
@@ -79,6 +81,33 @@ class TestLogPartition:
     def test_probabilities_sum_to_one(self):
         emit, trans = random_instance(4)
         assert abs(total_probability(emit, trans) - 1.0) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_len=st.integers(1, 6), spread=st.sampled_from([0.5, 2.0, 5.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradients_are_enumerated_marginals(self, t_len, spread, seed):
+        rng = np.random.default_rng(seed)
+        emit = rng.normal(size=(t_len, N_LABELS)) * spread
+        trans = rng.normal(size=(N_LABELS + 1, N_LABELS)) * spread
+        emit_t, trans_t = Tensor(emit), Tensor(trans)
+        log_partition(emit_t, trans_t).backward()
+        np.testing.assert_allclose(emit_t.grad, brute_marginals(emit, trans), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            trans_t.grad, brute_transition_marginals(emit, trans), rtol=0, atol=1e-9
+        )
+
+    def test_long_inputs_stay_finite_and_normalized(self):
+        for t_len in (126, 250):
+            emit, trans = random_instance(t_len, spread=100.0)
+            emit_t, trans_t = Tensor(emit), Tensor(trans)
+            z = log_partition(emit_t, trans_t)
+            got, want = z.value[0, 0], forward_log_partition(emit, trans)
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-9 * abs(want)
+            z.backward()
+            np.testing.assert_allclose(emit_t.grad.sum(axis=1), np.ones(t_len), atol=1e-9)
+            assert abs(trans_t.grad[:N_LABELS].sum() - (t_len - 1)) < 1e-9 * t_len
+            assert abs(trans_t.grad[START].sum() - 1.0) < 1e-9
 
 
 class TestSequenceScore:
