@@ -7,7 +7,6 @@ runs the attention read over one era's memory to show the mixing weights.
 
 import numpy as np
 
-import eraseg.autodiff as ad
 from eraseg.autodiff import Tensor
 from eraseg.corpus import make_synthetic_corpus
 from eraseg.lexicon import VALUE_NAMES, build_lexicon, extract_candidates
@@ -37,8 +36,8 @@ params = init_memory_params(rng, [len(lex) for lex in lexicons], d_a=8)
 era = sentence.era_id
 cands = extract_candidates(chars, lexicons[era], max_ngram=3)[0]
 h = Tensor(rng.normal(size=(1, 8)))
-probs = attend(h, [cands], params.key_tables[era])  # a one-character sentence
+probs = attend(h, [cands], params.keys[era])  # a one-character sentence
 print(f"\nattention over era-{era} candidates of the first character:")
-for c, p in zip(cands, probs.value[0]):
+for c, p in zip(cands, probs[0]):
     print(f"  {lexicons[era].id_to_word[c.word_id]:<4} {VALUE_NAMES[c.value_class]}: {p:.3f}")
-print(f"  (weights sum to {ad.sum_all(probs).value[0, 0]:.3f})")
+print(f"  (weights sum to {probs.sum():.3f})")

@@ -13,7 +13,8 @@ backward pass reaches it, so forward-only graphs allocate none.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from dataclasses import fields, is_dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,6 +110,23 @@ INIT_RANGE = 0.1
 def uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     """A leaf drawn uniformly from [-INIT_RANGE, INIT_RANGE): every parameter's initial value."""
     return Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=(rows, cols)))
+
+
+def named_tensors(tree, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """Every Tensor in a tree of dataclasses and tuples, with its dotted path.
+
+    Depth-first in field order, a tuple's items named by their index.
+    Checkpoints store a model's tensors in this order, under these names.
+    """
+    if isinstance(tree, Tensor):
+        yield prefix, tree
+        return
+    if is_dataclass(tree):
+        children = [(f.name, getattr(tree, f.name)) for f in fields(tree)]
+    else:  # a tuple
+        children = enumerate(tree)
+    for name, child in children:
+        yield from named_tensors(child, f"{prefix}.{name}" if prefix else str(name))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -151,7 +151,7 @@ def cmd_segment(args) -> int:
         if not line.strip():
             out_lines.append("")
             continue
-        result = segment(line.strip(), ckpt, force_era=args.era)
+        result = segment(line, ckpt, force_era=args.era)
         out_lines.append(" ".join(result.words) + f"\tera={result.era}")
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     if args.out is not None:

@@ -12,23 +12,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# Keys accepted in config files and CLI overrides.
-FILE_KEYS = (
-    "alpha",
-    "d_e",
-    "d_a",
-    "eras",
-    "switch_mode",
-    "fusion",
-    "max_ngram",
-    "ngram_min_count",
-    "lr",
-    "epochs",
-    "batch",
-    "seed",
-    "max_len",
-)
-
 SWITCH_MODES = ("hard", "soft")
 FUSION_MODES = ("sum", "concat")
 
@@ -80,6 +63,10 @@ class Config:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+# Every field, for checkpoint round-trips (includes memory_enabled).
+ALL_KEYS = tuple(_FIELD_TYPES)
+# Keys accepted in config files and CLI overrides.
+FILE_KEYS = tuple(k for k in ALL_KEYS if k != "memory_enabled")
 
 
 def _parse_value(key: str, raw: str):
@@ -139,7 +126,3 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
     if overrides:
         cfg = cfg.with_overrides(overrides)
     return cfg
-
-
-# Every field, for checkpoint round-trips (includes memory_enabled).
-ALL_KEYS = tuple(f.name for f in fields(Config))

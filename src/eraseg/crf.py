@@ -29,13 +29,6 @@ class CrfParams:
     bias: Tensor  # (1, 4)
     transitions: Tensor  # (5, 4): rows 0..3 from-label, row 4 from START
 
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("crf.weight", self.weight),
-            ("crf.bias", self.bias),
-            ("crf.transitions", self.transitions),
-        ]
-
 
 def init_crf_params(rng: np.random.Generator, d_a: int) -> CrfParams:
     return CrfParams(

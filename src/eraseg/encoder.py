@@ -44,16 +44,6 @@ class GruCell:
     def hidden_size(self) -> int:
         return self.u_cand.shape[0]
 
-    def named_tensors(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w_gates", self.w_gates),
-            (f"{prefix}.u_gates", self.u_gates),
-            (f"{prefix}.b_gates", self.b_gates),
-            (f"{prefix}.w_cand", self.w_cand),
-            (f"{prefix}.u_cand", self.u_cand),
-            (f"{prefix}.b_cand", self.b_cand),
-        ]
-
     def step(self, x: Tensor, h: Tensor) -> Tensor:
         """Advance one position: (1, d_in) input, (1, k) state -> (1, k)."""
         k = self.hidden_size
@@ -76,12 +66,6 @@ class EncoderParams:
     embeddings: Tensor  # (|V|, d_e)
     fwd: GruCell
     bwd: GruCell
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = [("encoder.embeddings", self.embeddings)]
-        out.extend(self.fwd.named_tensors("encoder.fwd"))
-        out.extend(self.bwd.named_tensors("encoder.bwd"))
-        return out
 
 
 def init_encoder_params(

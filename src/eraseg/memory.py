@@ -9,6 +9,9 @@ under both fusion modes.
 
 A read covers a whole sentence, its candidate lists padded to the longest
 one: memory grows with T * width, not with T * (candidates in the sentence).
+It is one autodiff node, a numpy forward pass over the padded (T, width)
+slots (padded slots are masked out of the softmax) whose backward pass is
+the softmax-attention gradient.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor, uniform
 from .lexicon import N_VALUE_CLASSES, Candidate
 
@@ -28,13 +30,8 @@ CandidateLists = Sequence[Sequence[Candidate]]  # [position][candidate]
 
 @dataclass
 class MemoryParams:
-    key_tables: tuple[Tensor, ...]  # one (|D_d|, d_a) table per era
-    value_table: Tensor  # (4, d_a), shared across eras
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = [(f"memory.keys.{d}", t) for d, t in enumerate(self.key_tables)]
-        out.append(("memory.values", self.value_table))
-        return out
+    keys: tuple[Tensor, ...]  # one (|D_d|, d_a) key table per era
+    values: Tensor  # (4, d_a) value table, shared across eras
 
 
 def init_memory_params(
@@ -45,8 +42,8 @@ def init_memory_params(
     if any(n < 1 for n in lexicon_sizes):
         raise ValueError(f"every era needs a nonempty lexicon, got sizes {list(lexicon_sizes)}")
     return MemoryParams(
-        key_tables=tuple(uniform(rng, n, d_a) for n in lexicon_sizes),
-        value_table=uniform(rng, N_VALUE_CLASSES, d_a),
+        keys=tuple(uniform(rng, n, d_a) for n in lexicon_sizes),
+        values=uniform(rng, N_VALUE_CLASSES, d_a),
     )
 
 
@@ -64,44 +61,48 @@ def _pad(states: Tensor, candidates_per_position: CandidateLists) -> tuple[np.nd
     return slots[..., 0], slots[..., 1], mask
 
 
-def _block_sums(blocks: int, width: int) -> Tensor:
-    """(blocks * width, blocks) constant; right-multiplying sums each run of width columns."""
-    return Tensor(np.repeat(np.eye(blocks), width, axis=0))
+def _softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax of each row over the slots the mask keeps; the rest get 0 and never reach exp."""
+    top = np.max(scores, axis=1, keepdims=True, where=mask, initial=-np.inf)
+    weights = np.exp(scores - top, where=mask, out=np.zeros(scores.shape))
+    return np.divide(weights, weights.sum(axis=1, keepdims=True), where=mask, out=weights)
 
 
-def _attention(states: Tensor, word_ids: np.ndarray, mask: np.ndarray, key_table: Tensor) -> Tensor:
-    """attend's weights from the padded word ids and mask."""
-    t_len, width = mask.shape
-    if width == 0:
-        return Tensor(np.zeros((t_len, 0)))
-    keys = ad.concat_cols([ad.gather_rows(key_table, word_ids[:, j]) for j in range(width)])
-    dots = ad.mul(ad.concat_cols([states] * width), keys)
-    scores = ad.matmul(dots, _block_sums(width, key_table.shape[1]))
-    # -inf takes a padded slot out of its row's softmax; a row with no
-    # candidates keeps finite scores and is zeroed by the mask instead.
-    shift = np.where(mask | ~mask.any(axis=1, keepdims=True), 0.0, -np.inf)
-    return ad.mul(ad.softmax_row(ad.add(scores, Tensor(shift))), Tensor(mask))
-
-
-def attend(states: Tensor, candidates_per_position: CandidateLists, key_table: Tensor) -> Tensor:
+def attend(
+    states: Tensor, candidates_per_position: CandidateLists, key_table: Tensor
+) -> np.ndarray:
     """Attention weights of each character over its candidates' keys: (T, width).
 
     Row i is the softmax of h_i dot each candidate's key, zero-padded to the
     longest candidate list; a character with no candidates gets a zero row.
     """
     word_ids, _, mask = _pad(states, candidates_per_position)
-    return _attention(states, word_ids, mask, key_table)
+    scores = np.einsum("td,twd->tw", states.value, key_table.value[word_ids])
+    return _softmax(scores, mask)
 
 
 def read_cell(
     states: Tensor, candidates_per_position: CandidateLists, key_table: Tensor, value_table: Tensor
 ) -> Tensor:
-    """One era's memory output for a whole sentence: (T, d_a) from (T, d_a) states."""
+    """One era's memory output for a whole sentence, (T, d_a) from (T, d_a) states, as one node.
+
+    The backward pass is the softmax-attention gradient: with dp the output
+    gradient's dot product with each slot's value row, a slot's score
+    gradient is p * (dp - sum over the row of p * dp), and it flows to the
+    state and to the slot's key.
+    """
     word_ids, classes, mask = _pad(states, candidates_per_position)
-    weights = _attention(states, word_ids, mask, key_table)
-    # class_mass[i, c], character i's weight on value class c, scales value
-    # row c.  Column c * width + j of in_class: slot j holds value class c.
-    in_class = classes[:, None, :] == np.arange(N_VALUE_CLASSES)[None, :, None]
-    spread = ad.mul(ad.concat_cols([weights] * N_VALUE_CLASSES), Tensor(in_class.reshape(len(mask), -1)))
-    class_mass = ad.matmul(spread, _block_sums(N_VALUE_CLASSES, mask.shape[1]))
-    return ad.matmul(class_mass, value_table)
+    keys = key_table.value[word_ids]  # (T, width, d_a)
+    weights = _softmax(np.einsum("td,twd->tw", states.value, keys), mask)
+    rows = np.arange(len(mask))[:, None]
+    class_mass = np.zeros((len(mask), N_VALUE_CLASSES))  # row i's weight on each value class
+    np.add.at(class_mass, (rows, classes), weights)  # padded slots add 0 to class 0
+
+    def backward(g):
+        value_table.grad += class_mass.T @ g
+        dp = (g @ value_table.value.T)[rows, classes]
+        ds = weights * (dp - (dp * weights).sum(axis=1, keepdims=True))
+        states.grad += np.einsum("tw,twd->td", ds, keys)
+        np.add.at(key_table.grad, word_ids, ds[..., None] * states.value[:, None, :])
+
+    return Tensor(class_mass @ value_table.value, (states, key_table, value_table), backward)

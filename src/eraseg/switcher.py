@@ -30,17 +30,11 @@ class DiscriminatorParams:
     def n_eras(self) -> int:
         return self.weight.shape[1]
 
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [("disc.weight", self.weight), ("disc.bias", self.bias)]
-
 
 @dataclass
 class FusionParams:
     weight: Tensor  # (d_a, d_a) for sum fusion, (2*d_a, d_a) for concat
     bias: Tensor  # (1, d_a)
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [("fusion.weight", self.weight), ("fusion.bias", self.bias)]
 
 
 def init_discriminator_params(

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, named_tensors
 from .config import ALL_KEYS, Config, parse_config_text
 from .corpus import TAG_TO_ID, TAGS, RawCorpus, Vocab, bmes_to_words, preprocess, words_to_bmes
 from .crf import CrfParams, emissions, init_crf_params, nll, viterbi
@@ -58,17 +58,9 @@ class ModelParams:
     fusion: FusionParams
     crf: CrfParams
 
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        """Every trainable tensor in one fixed, serialization-stable order."""
-        out = self.encoder.named_tensors()
-        out += self.memory.named_tensors()
-        out += self.disc.named_tensors()
-        out += self.fusion.named_tensors()
-        out += self.crf.named_tensors()
-        return out
-
     def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
+        """Every trainable tensor, in named_tensors' serialization order."""
+        return [t for _, t in named_tensors(self)]
 
 
 def init_model_params(
@@ -139,10 +131,10 @@ def _assemble_features(
     if not config.memory_enabled:
         cell = Tensor(np.zeros(states.shape))
     elif era is not None:
-        cell = read_cell(states, prep.candidates[era], memory.key_tables[era], memory.value_table)
+        cell = read_cell(states, prep.candidates[era], memory.keys[era], memory.values)
     else:
         cells = [
-            read_cell(states, prep.candidates[d], memory.key_tables[d], memory.value_table)
+            read_cell(states, prep.candidates[d], memory.keys[d], memory.values)
             for d in range(config.eras)
         ]
         cell = switch(cells, era_probs, config.switch_mode)
@@ -389,11 +381,11 @@ class Segmentation:
 
 
 def segment(text: str, ckpt: "Checkpoint", force_era: int | None = None) -> Segmentation:
-    """Preprocess, tag, and split one sentence.
+    """Strip, preprocess, tag, and split one sentence.
 
     The era comes from the classifier unless force_era pins the routing.
     """
-    clean = preprocess(text)
+    clean = preprocess(text.strip())
     if not clean:
         raise DataError("sentence is empty after preprocessing")
     prep = prepare_sentence(
@@ -464,7 +456,7 @@ class Checkpoint:
             out.append(_pack_section(lex.serialize()))
         for words in self.train_words:
             out.append(_pack_section(encode_words(words)))
-        named = self.params.named_tensors()
+        named = list(named_tensors(self.params))
         out.append(struct.pack("<I", len(named)))
         for name, tensor in named:
             out.append(_pack_section(name.encode("utf-8")))
@@ -510,7 +502,7 @@ class Checkpoint:
         params = init_model_params(
             config, len(vocab), [len(l) for l in lexicons], np.random.default_rng(0)
         )
-        expected = params.named_tensors()
+        expected = list(named_tensors(params))
         n_tensors = reader.u32()
         if n_tensors != len(expected):
             raise DataError(f"checkpoint has {n_tensors} tensors, model needs {len(expected)}")

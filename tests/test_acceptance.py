@@ -18,11 +18,12 @@ import pytest
 from _oracles import brute_log_partition, brute_viterbi
 
 import eraseg.autodiff as ad
-from eraseg.autodiff import Tensor
+from eraseg.autodiff import Tensor, named_tensors
 from eraseg.config import Config
 from eraseg.corpus import Vocab, make_synthetic_corpus
 from eraseg.crf import log_partition, viterbi
-from eraseg.lexicon import build_lexicon
+from eraseg.lexicon import V_B, V_E, V_S, Candidate, build_lexicon
+from eraseg.memory import read_cell
 from eraseg.metrics import machine_line, oov_recall, score_segmentation
 from eraseg.metrics import era_accuracy
 from eraseg.switcher import switch
@@ -111,6 +112,12 @@ def _op_cases(rng):
     row, col = t(1, 4), t(3, 1)
     m, n = t(3, 5), t(5, 2)
     probs = t(2, 6)
+    # positions with two candidates of one word, none, and three
+    ragged = [
+        [Candidate(2, V_B), Candidate(2, V_S)],
+        [],
+        [Candidate(0, V_E), Candidate(4, V_B), Candidate(1, V_S)],
+    ]
     return [
         ("add", lambda x, y: ad.add(x, y), (a, b)),
         ("add broadcast", lambda x, y: ad.add(x, y), (a, row)),
@@ -129,6 +136,7 @@ def _op_cases(rng):
         ("softmax_row", lambda x: ad.softmax_row(x), (probs,)),
         ("log_softmax_row", lambda x: ad.log_softmax_row(x), (probs,)),
         ("log_partition", lambda x, y: log_partition(x, y), (a, t(5, 4))),
+        ("read_cell ragged", lambda s, k, v: read_cell(s, ragged, k, v), (a, t(5, 4), t(4, 4))),
     ]
 
 
@@ -176,7 +184,7 @@ def test_criterion_3_switch_equivalences(tiny_world):
     params = fresh_params(config, vocab, lexicons)
     loss, _, _ = sentence_loss(params, prep, config)
     loss.backward()
-    for name, tensor in params.named_tensors():
+    for name, tensor in named_tensors(params):
         if name.startswith("disc."):
             np.testing.assert_array_equal(tensor.grad, np.zeros_like(tensor.grad))
 

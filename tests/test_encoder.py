@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eraseg import autodiff as ad
-from eraseg.autodiff import Tensor
+from eraseg.autodiff import Tensor, named_tensors
 from eraseg.encoder import GruCell, encode, init_encoder_params
 
 
@@ -11,7 +11,7 @@ def params(seed=3, vocab=7, d_e=5, d_a=6):
 
 
 def all_tensors(p):
-    return [t for _, t in p.named_tensors()]
+    return [t for _, t in named_tensors(p)]
 
 
 class TestInit:
@@ -23,7 +23,7 @@ class TestInit:
         assert p.bwd.u_cand.shape == (3, 3)  # d_a = 6 split across the directions
 
     def test_values_inside_init_range(self):
-        for _, t in params().named_tensors():
+        for _, t in named_tensors(params()):
             assert np.all(np.abs(t.value) <= 0.1)
 
     def test_odd_width_rejected(self):
@@ -32,11 +32,11 @@ class TestInit:
 
     def test_same_seed_same_values(self):
         a, b = params(seed=11), params(seed=11)
-        for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
+        for (_, ta), (_, tb) in zip(named_tensors(a), named_tensors(b)):
             np.testing.assert_array_equal(ta.value, tb.value)
 
     def test_names_unique(self):
-        names = [n for n, _ in params().named_tensors()]
+        names = [n for n, _ in named_tensors(params())]
         assert len(names) == len(set(names))
 
 
@@ -88,7 +88,7 @@ class TestGradients:
         x = Tensor(rng.normal(size=(1, 4)))
         h = Tensor(rng.normal(size=(1, 3)))
         w = Tensor(rng.normal(size=(1, 3)))
-        leaves = [x, h] + [t for _, t in cell.named_tensors("c")]
+        leaves = [x, h] + [t for _, t in named_tensors(cell, "c")]
         err = ad.grad_check(lambda: ad.sum_all(ad.mul(cell.step(x, h), w)), leaves)
         assert err < 1e-4
 

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eraseg import autodiff as ad
-from eraseg.autodiff import Tensor
+from eraseg.autodiff import Tensor, named_tensors
 from eraseg.lexicon import V_B, V_E, V_S, Candidate
 from eraseg.memory import attend, init_memory_params, read_cell
 
@@ -44,10 +45,10 @@ def ragged_sentence(n_words=5, d_a=3):
 class TestInit:
     def test_shapes_per_era(self):
         p = init_memory_params(np.random.default_rng(0), [5, 9], d_a=6)
-        assert len(p.key_tables) == 2
-        assert p.key_tables[0].shape == (5, 6)
-        assert p.key_tables[1].shape == (9, 6)
-        assert p.value_table.shape == (4, 6)
+        assert len(p.keys) == 2
+        assert p.keys[0].shape == (5, 6)
+        assert p.keys[1].shape == (9, 6)
+        assert p.values.shape == (4, 6)
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -55,7 +56,7 @@ class TestInit:
 
     def test_names_unique(self):
         p = init_memory_params(np.random.default_rng(0), [3, 3, 3], d_a=4)
-        names = [n for n, _ in p.named_tensors()]
+        names = [n for n, _ in named_tensors(p)]
         assert len(names) == len(set(names)) == 4
 
 
@@ -64,29 +65,29 @@ class TestAttend:
         keys = Tensor(np.tile([1.0, 0.0], (2, 1)))
         h = Tensor([[3.0, -1.0]])
         p = attend(h, [[Candidate(0, V_S), Candidate(1, V_S)]], keys)
-        np.testing.assert_allclose(p.value, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(p, [[0.5, 0.5]], atol=1e-12)
 
     def test_analytic_two_key_case(self):
         # Dot products 0 and ln 3 give probabilities 1/4 and 3/4.
         keys = Tensor([[0.0, 0.0], [math.log(3.0), 0.0]])
         h = Tensor([[1.0, 0.0]])
         p = attend(h, [[Candidate(0, V_S), Candidate(1, V_S)]], keys)
-        np.testing.assert_allclose(p.value, [[0.25, 0.75]], atol=1e-12)
+        np.testing.assert_allclose(p, [[0.25, 0.75]], atol=1e-12)
 
     def test_single_candidate_gets_everything(self):
         h, _, keys, _ = random_setup()
         p = attend(h, [[Candidate(2, V_B)]], keys)
-        np.testing.assert_allclose(p.value, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(p, [[1.0]], atol=1e-15)
 
     def test_sums_to_one(self):
         for _ in range(10):
             states, cands, keys, _ = random_setup(m=4, t_len=3)
             p = attend(states, cands, keys)
-            np.testing.assert_allclose(p.value.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_position_without_candidates_gets_zero_row(self):
         states, cands, keys, _ = ragged_sentence()
-        p = attend(states, cands, keys).value
+        p = attend(states, cands, keys)
         assert p.shape == (5, 3)  # padded to the longest candidate list
         np.testing.assert_array_equal(p[[1, 4]], 0.0)
         np.testing.assert_allclose(p[[0, 2, 3]].sum(axis=1), 1.0, atol=1e-12)
@@ -147,6 +148,8 @@ candidate_lists = st.lists(
     min_size=1,
     max_size=8,
 )
+# ragged lists, plus sentences in which no position has a candidate
+ragged_lists = st.one_of(candidate_lists, st.integers(1, 5).map(lambda n: [[]] * n))
 
 
 class TestReadCell:
@@ -177,3 +180,30 @@ class TestReadCell:
         assert ad.grad_check(build, [states, keys, values]) < 1e-4
         # a position with no candidates passes no gradient to its state
         np.testing.assert_array_equal(states.grad[[1, 4]], 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cands=ragged_lists, seed=st.integers(0, 2**32 - 1))
+    def test_gradients_match_finite_differences(self, cands, seed):
+        rng = np.random.default_rng(seed)
+        states = Tensor(rng.normal(size=(len(cands), 3)))
+        keys, values = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=states.shape))
+
+        def build():
+            return ad.sum_all(ad.mul(read_cell(states, cands, keys, values), w))
+
+        assert ad.grad_check(build, [states, keys, values]) < 1e-6
+
+    def test_large_scores_stay_finite(self):
+        states, cands, keys, values = ragged_sentence(d_a=4)
+        states.value *= 100.0
+        keys.value *= 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow in exp, 0/0, inf - inf
+            p = attend(states, cands, keys)
+            out = read_cell(states, cands, keys, values)
+            ad.sum_all(out).backward()
+        assert np.isfinite(out.value).all()
+        np.testing.assert_allclose(p[[0, 2, 3]].sum(axis=1), 1.0, atol=1e-12)
+        for t in (states, keys, values):
+            assert np.isfinite(t.grad).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eraseg import autodiff as ad
-from eraseg.autodiff import Tensor
+from eraseg.autodiff import Tensor, named_tensors
 from eraseg.switcher import (
     DiscriminatorParams,
     FusionParams,
@@ -183,8 +183,8 @@ class TestFuse:
         h_char = Tensor(RNG.normal(size=(T_LEN, d)))
         os = cells(2, d_a=d)
         w = Tensor(RNG.normal(size=(T_LEN, d)))
-        leaves = [h_sent, h_char] + os + [t for _, t in disc.named_tensors()]
-        leaves += [t for _, t in fus.named_tensors()]
+        leaves = [h_sent, h_char] + os + [t for _, t in named_tensors(disc)]
+        leaves += [t for _, t in named_tensors(fus)]
 
         def build():
             probs = classify_era(h_sent, disc)

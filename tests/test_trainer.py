@@ -26,7 +26,7 @@ from eraseg.trainer import (
     split_corpus,
     train,
 )
-from eraseg.autodiff import Tensor
+from eraseg.autodiff import Tensor, named_tensors
 
 # Any word the word-list codec must carry: non-empty, no "\n", encodable as UTF-8.
 CODEC_WORDS = st.text(
@@ -123,9 +123,9 @@ class TestSentenceLoss:
         _, _, _, params, prepared = tiny_setup(config)
         loss, _, _ = sentence_loss(params, prepared[0], config)
         loss.backward()
-        for table in params.memory.key_tables:
+        for table in params.memory.keys:
             np.testing.assert_array_equal(table.grad, 0.0)
-        np.testing.assert_array_equal(params.memory.value_table.grad, 0.0)
+        np.testing.assert_array_equal(params.memory.values.grad, 0.0)
 
 
 class TestPredict:
@@ -191,14 +191,14 @@ class TestTrainLoop:
     def test_alpha_zero_hard_mode_freezes_crf_and_fusion(self):
         config = tiny_config(alpha=0.0, switch_mode="hard", epochs=1, batch=2)
         _, _, _, params, prepared = tiny_setup(config, n_sentences=4)
-        before = {n: t.value.copy() for n, t in params.named_tensors()}
+        before = {n: t.value.copy() for n, t in named_tensors(params)}
         opt = Adam(params.tensors(), config.lr)
         for prep in prepared[:2]:
             loss, _, _ = sentence_loss(params, prep, config)
             ad.scale(loss, 0.5).backward()
         clip_global_norm(params.tensors(), 5.0)
         opt.step()
-        for name, tensor in params.named_tensors():
+        for name, tensor in named_tensors(params):
             if name.startswith(("crf.", "fusion.", "memory.")):
                 np.testing.assert_array_equal(tensor.value, before[name], err_msg=name)
         assert not np.array_equal(params.disc.weight.value, before["disc.weight"])
@@ -298,7 +298,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, trained, value):
         ckpt = Checkpoint.from_bytes(trained[0].to_bytes())
-        name, tensor = ckpt.params.named_tensors()[-1]
+        name, tensor = list(named_tensors(ckpt.params))[-1]
         tensor.value[0, -1] = value
         data = ckpt.to_bytes()  # sealed with a valid digest
         with pytest.raises(DataError, match=f"tensor {name}: non-finite"):
@@ -365,6 +365,18 @@ class TestSegment:
         ckpt, _ = trained
         with pytest.raises(DataError, match="empty"):
             segment("", ckpt)
+
+    @pytest.mark.parametrize("text", ["\t", "   ", " \n\u3000"])
+    def test_whitespace_only_rejected(self, trained, text):
+        ckpt, _ = trained
+        with pytest.raises(DataError, match="empty"):
+            segment(text, ckpt)
+
+    def test_surrounding_whitespace_stripped(self, trained):
+        ckpt, _ = trained
+        result = segment(" \t山水 之乎  ", ckpt)
+        assert result == segment("山水 之乎", ckpt)
+        assert result.words[0][0] == "山" and result.words[-1][-1] == "乎"
 
     def test_words_rejoin_to_input(self, trained):
         ckpt, _ = trained
