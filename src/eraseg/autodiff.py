@@ -9,6 +9,13 @@ graph once in reverse topological order.  Graphs are rebuilt per example;
 only leaf tensors (parameters) survive between runs, accumulating into
 .grad until zero_grad().  An op's output gets its .grad buffer only when a
 backward pass reaches it, so forward-only graphs allocate none.
+
+Each model layer is one sentence-level node built the same way, a numpy
+forward pass with a hand-written backward: encoder.run_gru,
+memory.read_cell, switcher.switch and switcher.discriminator_nll,
+crf.log_partition and crf.nll.  The ops here are the glue between them:
+affine maps, column joins, row gathers and the softmax of the era
+classifier.  mul, sum_all and tanh serve the tests and the demos.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    # Iterative DFS: per-sentence graphs run long chains (hundreds of
-    # timestep ops) that would blow the recursion limit.
+    # Iterative DFS, so a chain of ops may be deeper than the recursion
+    # limit.  (The model's own graphs are about 20 nodes per sentence.)
     # Tensors hash by identity.
     order: list[Tensor] = []
     visited: set[Tensor] = set()
@@ -162,17 +169,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.value + b.value, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference; size-1 axes broadcast."""
-    _check_broadcast(a, b, "sub")
-
-    def backward(g):
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad -= _unbroadcast(g, b.shape)
-
-    return Tensor(a.value - b.value, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; size-1 axes broadcast."""
     _check_broadcast(a, b, "mul")
@@ -224,35 +220,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(np.concatenate([p.value for p in parts], axis=1), parts, backward)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack top to bottom: (r1,m)...(rk,m) -> (r1+...+rk, m)."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("concat_rows of nothing")
-    cols = parts[0].shape[1]
-    if any(p.shape[1] != cols for p in parts):
-        raise ValueError(f"concat_rows: column counts differ: {[p.shape for p in parts]}")
-
-    def backward(g):
-        row = 0
-        for p in parts:
-            h = p.shape[0]
-            p.grad += g[row : row + h, :]
-            row += h
-
-    return Tensor(np.concatenate([p.value for p in parts], axis=0), parts, backward)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ValueError(f"slice_cols[{start}:{stop}] out of range for {a.shape}")
-
-    def backward(g):
-        a.grad[:, start:stop] += g
-
-    return Tensor(a.value[:, start:stop].copy(), (a,), backward)
-
-
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows by index, duplicates allowed: (n,m) -> (len(indices), m)."""
     idx = list(indices)
@@ -266,18 +233,6 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
         np.add.at(a.grad, idx, g)
 
     return Tensor(a.value[idx, :], (a,), backward)
-
-
-def pick(a: Tensor, i: int, j: int) -> Tensor:
-    """Extract one entry as a (1,1) tensor."""
-    n, m = a.shape
-    if not (0 <= i < n and 0 <= j < m):
-        raise ValueError(f"pick({i},{j}) out of range for {a.shape}")
-
-    def backward(g):
-        a.grad[i, j] += g[0, 0]
-
-    return Tensor(a.value[i : i + 1, j : j + 1].copy(), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -296,46 +251,16 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(val, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # Piecewise form keeps exp() off large positive arguments: with
-    # e = exp(-|x|), x >= 0 gives 1 / (1 + exp(-x)) and x < 0 gives
-    # exp(x) / (1 + exp(x)).
-    e = np.exp(-np.abs(a.value))
-    val = np.where(a.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g):
-        a.grad += g * val * (1.0 - val)
-
-    return Tensor(val, (a,), backward)
-
-
-def _row_softmax(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_row(a: Tensor) -> Tensor:
     """Softmax across the columns of each row."""
-    p = _row_softmax(a.value)
+    e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         a.grad += p * (g - dot)
 
     return Tensor(p, (a,), backward)
-
-
-def log_softmax_row(a: Tensor) -> Tensor:
-    """Log-softmax across the columns of each row (stable)."""
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    p = _row_softmax(a.value)
-
-    def backward(g):
-        a.grad += g - p * g.sum(axis=1, keepdims=True)
-
-    return Tensor(shifted - lse, (a,), backward)
 
 
 def grad_check(

@@ -1,18 +1,20 @@
-"""Linear-chain conditional random field over the four boundary tags.
+"""Linear-chain conditional random field (Lafferty et al., 2001) over the four boundary tags.
 
 Scores a tag sequence as the sum of per-position emission scores and
 pairwise transition scores, with one extra virtual row of transitions out
 of a start state so the first position has a prior.  One numpy suffix
 recursion serves both passes over the chain: with max it gives Viterbi's
 best suffix scores, with log-sum-exp the forward and backward log scores
-of the partition function.  The partition function is one autodiff node
-whose backward pass adds the forward-backward marginals.
+of the partition function.  The partition function and the loss, log Z
+minus the gold path's score, are one autodiff node each: the backward pass
+adds the forward-backward marginals, and the loss's subtracts the number
+of times the gold path takes each emission and transition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,20 +45,19 @@ def emissions(a_mat: Tensor, params: CrfParams) -> Tensor:
     return ad.add(ad.matmul(a_mat, params.weight), params.bias)
 
 
-def sequence_score(emit: Tensor, transitions: Tensor, tags: Sequence[int]) -> Tensor:
-    """Path score of one tag sequence: emissions plus transitions, as masked sums."""
+def path_counts(tags: Sequence[int], t_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """How often a tag sequence takes each emission, (T, 4), and each transition, (5, 4).
+
+    Its path score is the sum of the scores weighted by these counts.
+    """
     tags = list(tags)
-    if len(tags) != emit.shape[0]:
-        raise ValueError(f"{len(tags)} tags for {emit.shape[0]} positions")
+    if len(tags) != t_len:
+        raise ValueError(f"{len(tags)} tags for {t_len} positions")
     if any(not (0 <= y < N_LABELS) for y in tags):
         raise ValueError(f"tag index outside 0..{N_LABELS - 1}: {tags}")
-    on_path = np.eye(N_LABELS)[tags]  # the emission taken at each position
-    step_counts = np.zeros((N_LABELS + 1, N_LABELS))  # uses of each transition
-    np.add.at(step_counts, ([START] + tags[:-1], tags), 1.0)
-    return ad.add(
-        ad.sum_all(ad.mul(emit, Tensor(on_path))),
-        ad.sum_all(ad.mul(transitions, Tensor(step_counts))),
-    )
+    steps = np.zeros((N_LABELS + 1, N_LABELS))
+    np.add.at(steps, ([START] + tags[:-1], tags), 1.0)
+    return np.eye(N_LABELS)[tags], steps
 
 
 def _check_chain(emit: np.ndarray, transitions: np.ndarray) -> None:
@@ -92,25 +93,23 @@ def _row_probs(log_scores: np.ndarray) -> np.ndarray:
     return np.exp(log_scores - np.logaddexp.reduce(log_scores, axis=1)[:, None])
 
 
-def log_partition(emit: Tensor, transitions: Tensor) -> Tensor:
-    """log of the summed exp path score over all 4^T sequences, as one node.
+def _partition(emit: Tensor, transitions: Tensor) -> tuple[float, Callable[[float], None]]:
+    """log Z, and the function that adds g times its gradient, the marginals.
 
     alpha[t, y], the log-sum-exp score of the prefixes ending in y at t,
     is the suffix recursion run over the reversed sentence with the
     transitions transposed and the START row added to the first emission;
-    beta is the same recursion run forward.  The backward pass adds the marginals:
-    P(y_t = y) to emit.grad, and each transition's expected number of
-    uses to transitions.grad.
+    beta is the same recursion run forward.  The marginals are P(y_t = y),
+    added to emit.grad, and each transition's expected number of uses,
+    added to transitions.grad.
     """
     _check_chain(emit.value, transitions.value)
     core = transitions.value[:N_LABELS]
     first = emit.value.copy()
     first[0] += transitions.value[START]
     alpha = _suffix_scores(first[::-1], core.T, np.logaddexp.reduce)[::-1]
-    log_z = np.logaddexp.reduce(alpha[-1])
 
-    def backward(g):
-        g = g[0, 0]
+    def add_marginals(g: float) -> None:
         beta = _suffix_scores(emit.value, core, np.logaddexp.reduce)
         node = _row_probs(alpha + beta - emit.value)  # P(y_t = y)
         edge = alpha[:-1, :, None] + core + beta[1:, None, :]  # log P(y_t, y_t+1), unnormalized
@@ -119,12 +118,31 @@ def log_partition(emit: Tensor, transitions: Tensor) -> Tensor:
         transitions.grad[:N_LABELS] += g * edge.sum(axis=0).reshape(N_LABELS, N_LABELS)
         transitions.grad[START] += g * node[0]
 
-    return Tensor([[log_z]], (emit, transitions), backward)
+    return np.logaddexp.reduce(alpha[-1]), add_marginals
+
+
+def log_partition(emit: Tensor, transitions: Tensor) -> Tensor:
+    """log of the summed exp path score over all 4^T sequences, as one node."""
+    log_z, add_marginals = _partition(emit, transitions)
+    return Tensor([[log_z]], (emit, transitions), lambda g: add_marginals(g[0, 0]))
 
 
 def nll(emit: Tensor, transitions: Tensor, tags: Sequence[int]) -> Tensor:
-    """Negative log probability of the gold tags; nonnegative."""
-    return ad.sub(log_partition(emit, transitions), sequence_score(emit, transitions, tags))
+    """-log P(gold tags) = log Z - their path score >= 0, as one node.
+
+    The backward pass adds the marginals minus the gold path's counts.
+    """
+    log_z, add_marginals = _partition(emit, transitions)
+    on_path, steps = path_counts(tags, emit.shape[0])
+
+    def backward(g):
+        g = g[0, 0]
+        add_marginals(g)
+        emit.grad -= g * on_path
+        transitions.grad -= g * steps
+
+    gold = (emit.value * on_path).sum() + (transitions.value * steps).sum()
+    return Tensor([[log_z - gold]], (emit, transitions), backward)
 
 
 def viterbi(emit: np.ndarray, transitions: np.ndarray) -> tuple[list[int], float]:

@@ -3,7 +3,8 @@
 The sentence vector feeds a linear era classifier.  Its distribution then
 drives how the per-era memory outputs are combined (see route): hard
 switching routes a single cell, soft switching takes the
-probability-weighted sum.
+probability-weighted sum.  The era loss and the soft sum are one autodiff
+node each, with a hand-written backward pass.
 The chosen memory output is fused with the hidden states through one
 affine layer, by element-wise sum or by concatenation.  Cells and states
 are (T, d_a) matrices, one row per character of a sentence.
@@ -68,11 +69,23 @@ def classify_era(h_sentence: Tensor, params: DiscriminatorParams) -> Tensor:
 
 
 def discriminator_nll(h_sentence: Tensor, params: DiscriminatorParams, gold_era: int) -> Tensor:
-    """Cross-entropy of the gold era under the classifier: -log p(gold)."""
+    """Cross-entropy of the gold era, -log p(gold), as one node.
+
+    Its backward pass gives the logits the softmax minus the one-hot gold era.
+    """
     if not (0 <= gold_era < params.n_eras):
         raise ValueError(f"era id {gold_era} out of range for {params.n_eras} eras")
-    log_p = ad.log_softmax_row(era_logits(h_sentence, params))
-    return ad.scale(ad.pick(log_p, 0, gold_era), -1.0)
+    logits = era_logits(h_sentence, params)
+    shifted = logits.value - logits.value.max()
+    e = np.exp(shifted)
+    total = e.sum()
+
+    def backward(g):
+        d_logits = e / total
+        d_logits[0, gold_era] -= 1.0
+        logits.grad += g[0, 0] * d_logits
+
+    return Tensor([[np.log(total) - shifted[0, gold_era]]], (logits,), backward)
 
 
 def predicted_era(era_probs: Tensor) -> int:
@@ -111,7 +124,12 @@ def switch(
     gold_era: int | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Combine the per-era memory outputs into one matrix, as route decides."""
+    """Combine the per-era memory outputs into one matrix, as route decides.
+
+    Soft mode's sum over eras is one node.  Its backward pass gives each
+    cell p_d times the output gradient, and each p_d the cell's dot
+    product with that gradient.
+    """
     cells = list(cell_outputs)
     if era_probs.shape != (1, len(cells)):
         raise ValueError(f"{len(cells)} cells but era distribution of shape {era_probs.shape}")
@@ -120,10 +138,15 @@ def switch(
         if not (0 <= d < len(cells)):
             raise ValueError(f"era id {d} out of range for {len(cells)} cells")
         return cells[d]
-    out = ad.mul(ad.pick(era_probs, 0, 0), cells[0])
-    for d in range(1, len(cells)):
-        out = ad.add(out, ad.mul(ad.pick(era_probs, 0, d), cells[d]))
-    return out
+    stacked = np.stack([c.value for c in cells])  # (E, T, d_a)
+    probs = era_probs.value[0]
+
+    def backward(g):
+        era_probs.grad[0] += np.einsum("etd,td->e", stacked, g)
+        for p, c in zip(probs, cells):
+            c.grad += p * g
+
+    return Tensor(np.einsum("e,etd->td", probs, stacked), (era_probs, *cells), backward)
 
 
 def fuse(cell: Tensor, states: Tensor, params: FusionParams, mode: str) -> Tensor:

@@ -328,29 +328,29 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(prepared))
         sum_loss = sum_cws = sum_disc = 0.0
-        for chunk_start in range(0, len(order), config.batch):
-            chunk = order[chunk_start : chunk_start + config.batch]
-            for idx in chunk:
-                loss, cws_value, disc_value = sentence_loss(params, prepared[int(idx)], config)
-                total = float(loss.value[0, 0])
-                if not math.isfinite(total):
-                    raise NumericError(
-                        f"loss diverged at epoch {epoch}, sentence {int(idx)}: {total}"
-                    )
-                sum_loss += total
-                sum_cws += cws_value
-                sum_disc += disc_value
-                ad.scale(loss, 1.0 / len(chunk)).backward()
-            clip_global_norm(tensors, GRAD_CLIP_NORM)
-            opt.step()
-            opt.zero_grads()
+        idx = None  # the sentence being trained on; None during dev evaluation
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for chunk_start in range(0, len(order), config.batch):
+                    chunk = order[chunk_start : chunk_start + config.batch]
+                    for idx in chunk:
+                        loss, cws_value, disc_value = sentence_loss(params, prepared[idx], config)
+                        sum_loss += float(loss.value[0, 0])
+                        sum_cws += cws_value
+                        sum_disc += disc_value
+                        ad.scale(loss, 1.0 / len(chunk)).backward()
+                    clip_global_norm(tensors, GRAD_CLIP_NORM)
+                    opt.step()
+                    opt.zero_grads()
+                idx = None
+                dev_f1 = None if dev_prepared is None else _dev_f1(params, dev_prepared, config)
+        except FloatingPointError as exc:
+            where = "dev evaluation" if idx is None else f"sentence {int(idx)}"
+            raise NumericError(f"training diverged at epoch {epoch}, {where}: {exc}") from exc
 
-        dev_f1 = None
-        if dev_prepared is not None:
-            dev_f1 = _dev_f1(params, dev_prepared, config)
-            if best_f1 is None or dev_f1 > best_f1:
-                best_f1, best_epoch = dev_f1, epoch
-                best_values = [t.value.copy() for t in tensors]
+        if dev_f1 is not None and (best_f1 is None or dev_f1 > best_f1):
+            best_f1, best_epoch = dev_f1, epoch
+            best_values = [t.value.copy() for t in tensors]
         n = len(prepared)
         if on_epoch is not None:
             on_epoch(EpochStats(epoch, sum_loss / n, sum_cws / n, sum_disc / n, dev_f1))

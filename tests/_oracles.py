@@ -121,6 +121,66 @@ def read_cell_per_position(states, candidates_per_position, keys, values):
     return out
 
 
+def _logistic(v):
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+
+def gru_per_step(x, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand, reverse=False, g_out=None):
+    """One GRU direction (Cho et al., 2014), one position at a time.
+
+    With h the previous state:
+        z = logistic(x_t W_z + h U_z + b_z),  r = logistic(x_t W_r + h U_r + b_r)
+        c = tanh(x_t W_c + (r * h) U_c + b_c),  h' = (1 - z) * c + z * h
+    where W_z, W_r are the two halves of w_gates' columns (likewise U and b).
+    Returns the (n, k) states, row t read after position t.  Given g_out,
+    also returns the gradients of sum(g_out * states) with respect to x
+    and the six parameters, in argument order, backpropagated one position
+    at a time with per-position outer products.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, k = x.shape[0], u_cand.shape[0]
+    w_z, w_r = w_gates[:, :k], w_gates[:, k:]
+    u_z, u_r = u_gates[:, :k], u_gates[:, k:]
+    b_z, b_r = b_gates[0, :k], b_gates[0, k:]
+    positions = list(range(n))
+    if reverse:
+        positions.reverse()
+    states = np.zeros((n, k))
+    tape = []
+    h = np.zeros(k)
+    for t in positions:
+        z = _logistic(x[t] @ w_z + h @ u_z + b_z)
+        r = _logistic(x[t] @ w_r + h @ u_r + b_r)
+        c = np.tanh(x[t] @ w_cand + (r * h) @ u_cand + b_cand[0])
+        tape.append((t, h, z, r, c))
+        h = (1.0 - z) * c + z * h
+        states[t] = h
+    if g_out is None:
+        return states
+
+    grads = [np.zeros_like(a) for a in (x, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand)]
+    dx, dw_gates, du_gates, db_gates, dw_cand, du_cand, db_cand = grads
+    dh = np.zeros(k)
+    for t, h_prev, z, r, c in reversed(tape):
+        dh = dh + g_out[t]
+        da_c = dh * (1.0 - z) * (1.0 - c * c)
+        da_z = dh * (h_prev - c) * z * (1.0 - z)
+        d_rh = u_cand @ da_c
+        da_r = d_rh * h_prev * r * (1.0 - r)
+        dw_cand += np.outer(x[t], da_c)
+        du_cand += np.outer(r * h_prev, da_c)
+        db_cand[0] += da_c
+        dw_gates[:, :k] += np.outer(x[t], da_z)
+        dw_gates[:, k:] += np.outer(x[t], da_r)
+        du_gates[:, :k] += np.outer(h_prev, da_z)
+        du_gates[:, k:] += np.outer(h_prev, da_r)
+        db_gates[0, :k] += da_z
+        db_gates[0, k:] += da_r
+        dx[t] += w_cand @ da_c + w_z @ da_z + w_r @ da_r
+        dh = dh * z + d_rh * r + u_z @ da_z + u_r @ da_r
+    return states, grads
+
+
 def split_long_recursive(words, max_len, punct):
     """One chunk per recursion level: the first chunk ends after the last
     word ending in punct that fits within max_len characters, else after

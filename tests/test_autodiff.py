@@ -28,27 +28,14 @@ class TestForwardValues:
         p = ad.softmax_row(leaf(4, 7, scale=3.0))
         np.testing.assert_allclose(p.value.sum(axis=1), np.ones(4), atol=1e-12)
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = leaf(3, 5)
-        np.testing.assert_allclose(
-            ad.log_softmax_row(x).value, np.log(ad.softmax_row(x).value), atol=1e-12
-        )
-
-    def test_sigmoid_at_zero_and_extremes(self):
-        out = ad.sigmoid(const([0.0, 800.0, -800.0]))
-        np.testing.assert_allclose(out.value, [[0.5, 1.0, 0.0]], atol=1e-12)
-        assert np.all(np.isfinite(out.value))
-
-    def test_pick_and_sum_all(self):
-        x = const([[1.0, 2.0], [3.0, 4.0]])
-        assert ad.pick(x, 1, 0).value[0, 0] == 3.0
-        assert ad.sum_all(x).value[0, 0] == 10.0
+    def test_sum_all(self):
+        assert ad.sum_all(const([[1.0, 2.0], [3.0, 4.0]])).value[0, 0] == 10.0
 
     def test_concat_and_slice_round_trip(self):
         a, b = const([[1.0, 2.0]]), const([[3.0]])
         cat = ad.concat_cols([a, b])
         np.testing.assert_array_equal(cat.value, [[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(ad.slice_cols(cat, 2, 3).value, b.value)
+        np.testing.assert_array_equal(cat.value[:, 2:3], b.value)
 
     def test_gather_rows_with_duplicates(self):
         table = const([[0.0, 1.0], [2.0, 3.0]])
@@ -83,10 +70,6 @@ class TestShapeValidation:
     def test_gather_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ad.gather_rows(leaf(2, 2), [2])
-
-    def test_slice_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ad.slice_cols(leaf(2, 2), 1, 3)
 
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -145,9 +128,6 @@ class TestGradCheck:
     def test_add_col_broadcast(self):
         self.check(ad.add, leaf(3, 4), leaf(3, 1))
 
-    def test_sub(self):
-        self.check(ad.sub, leaf(3, 4), leaf(1, 4))
-
     def test_mul(self):
         self.check(ad.mul, leaf(3, 4), leaf(3, 4))
 
@@ -163,17 +143,8 @@ class TestGradCheck:
     def test_concat_cols(self):
         self.check(lambda a, b: ad.concat_cols([a, b]), leaf(3, 2), leaf(3, 4))
 
-    def test_concat_rows(self):
-        self.check(lambda a, b: ad.concat_rows([a, b]), leaf(2, 3), leaf(4, 3))
-
-    def test_slice_cols(self):
-        self.check(lambda a: ad.slice_cols(a, 1, 3), leaf(3, 5))
-
     def test_gather_rows_duplicate_indices(self):
         self.check(lambda a: ad.gather_rows(a, [0, 2, 2, 1]), leaf(4, 3))
-
-    def test_pick(self):
-        self.check(lambda a: ad.pick(a, 1, 2), leaf(3, 4))
 
     def test_sum_all(self):
         self.check(ad.sum_all, leaf(3, 4))
@@ -181,14 +152,8 @@ class TestGradCheck:
     def test_tanh(self):
         self.check(ad.tanh, leaf(3, 4))
 
-    def test_sigmoid(self):
-        self.check(ad.sigmoid, leaf(3, 4))
-
     def test_softmax_row(self):
         self.check(ad.softmax_row, leaf(3, 5))
-
-    def test_log_softmax_row(self):
-        self.check(ad.log_softmax_row, leaf(3, 5))
 
     def test_composite_expression(self):
         a, b, c = leaf(2, 3), leaf(3, 4), leaf(1, 4)

@@ -253,6 +253,22 @@ class TestTrain:
         capsys.readouterr()
         assert (tmp_path / "m.ckpt").exists()
 
+    def test_diverging_run_exits_3_without_raw_warnings(self, workspace, tmp_path):
+        # A subprocess, so numpy warnings reach stderr as a user sees them.
+        proc = subprocess.run(
+            [sys.executable, "-m", "eraseg", "train",
+             f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
+             "--out", str(tmp_path / "m.ckpt"), *COMMON, "--set", "lr=1e300"],
+            capture_output=True,
+        )
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 3
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "epoch 1" in errors[0]
+        assert "RuntimeWarning" not in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 class TestSegment:
     def test_output_format(self, workspace, capsys):

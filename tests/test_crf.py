@@ -14,7 +14,7 @@ from eraseg.crf import (
     init_crf_params,
     log_partition,
     nll,
-    sequence_score,
+    path_counts,
     viterbi,
 )
 
@@ -110,13 +110,23 @@ class TestLogPartition:
             assert abs(trans_t.grad[START].sum() - 1.0) < 1e-9
 
 
+def counted_score(emit, trans, tags):
+    """The path score as path_counts defines it: counts times scores."""
+    on_path, steps = path_counts(tags, len(emit))
+    return (emit * on_path).sum() + (trans * steps).sum()
+
+
 class TestSequenceScore:
+    """The gold path's score, which nll subtracts from log Z, via path_counts."""
+
     def test_matches_enumeration_entry(self):
         emit, trans = random_instance(3)
         tags = [2, 0, 3]
-        got = sequence_score(Tensor(emit), Tensor(trans), tags).value[0, 0]
+        got = counted_score(emit, trans, tags)
         want = trans[START, 2] + emit[0, 2] + trans[2, 0] + emit[1, 0] + trans[0, 3] + emit[2, 3]
         assert abs(got - want) < 1e-12
+        log_z = log_partition(Tensor(emit), Tensor(trans)).value[0, 0]
+        assert abs(log_z - nll(Tensor(emit), Tensor(trans), tags).value[0, 0] - want) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(tags=st.lists(st.integers(0, N_LABELS - 1), min_size=1, max_size=12),
@@ -125,26 +135,28 @@ class TestSequenceScore:
         rng = np.random.default_rng(seed)
         emit = rng.normal(size=(len(tags), N_LABELS)) * 3.0
         trans = rng.normal(size=(N_LABELS + 1, N_LABELS)) * 3.0
-        emit_t, trans_t = Tensor(emit), Tensor(trans)
-        score = sequence_score(emit_t, trans_t, tags)
-        assert abs(score.value[0, 0] - path_score(emit, trans, tags)) < 1e-12
+        assert abs(counted_score(emit, trans, tags) - path_score(emit, trans, tags)) < 1e-12
         # The score is linear: each entry's gradient counts its uses on the path.
-        score.backward()
         want_emit, want_trans = np.zeros_like(emit), np.zeros_like(trans)
         prev = START
         for t, y in enumerate(tags):
             want_emit[t, y] += 1.0
             want_trans[prev, y] += 1.0
             prev = y
-        np.testing.assert_array_equal(emit_t.grad, want_emit)
-        np.testing.assert_array_equal(trans_t.grad, want_trans)
+        on_path, steps = path_counts(tags, len(tags))
+        np.testing.assert_array_equal(on_path, want_emit)
+        np.testing.assert_array_equal(steps, want_trans)
 
     def test_rejects_bad_tags(self):
         emit, trans = random_instance(2)
         with pytest.raises(ValueError, match="tag index"):
-            sequence_score(Tensor(emit), Tensor(trans), [0, 4])
+            path_counts([0, 4], 2)
         with pytest.raises(ValueError, match="2 tags for 3"):
-            sequence_score(Tensor(np.zeros((3, 4))), Tensor(trans), [0, 1])
+            path_counts([0, 1], 3)
+        with pytest.raises(ValueError, match="tag index"):
+            nll(Tensor(emit), Tensor(trans), [0, 4])
+        with pytest.raises(ValueError, match="2 tags for 3"):
+            nll(Tensor(np.zeros((3, 4))), Tensor(trans), [0, 1])
 
 
 class TestNll:
@@ -240,7 +252,7 @@ class TestViterbi:
         _, best = viterbi(emit, trans)
         for _ in range(10):
             tags = list(RNG.integers(0, 4, size=4))
-            gold = sequence_score(Tensor(emit), Tensor(trans), tags).value[0, 0]
+            gold = path_score(emit, trans, tags)
             assert best >= gold - 1e-12
 
     def test_column_shift_keeps_argmax(self):

@@ -1,9 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from _oracles import gru_per_step
 
 from eraseg import autodiff as ad
 from eraseg.autodiff import Tensor, named_tensors
-from eraseg.encoder import GruCell, encode, init_encoder_params
+from eraseg.config import Config
+from eraseg.encoder import GruCell, encode, init_encoder_params, run_gru
 
 
 def params(seed=3, vocab=7, d_e=5, d_a=6):
@@ -82,15 +88,15 @@ class TestEncode:
 
 
 class TestGradients:
-    def test_gru_step_grad_check(self):
+    def test_run_gru_grad_check(self):
         rng = np.random.default_rng(5)
         cell = GruCell.create(rng, d_in=4, k=3)
-        x = Tensor(rng.normal(size=(1, 4)))
-        h = Tensor(rng.normal(size=(1, 3)))
-        w = Tensor(rng.normal(size=(1, 3)))
-        leaves = [x, h] + [t for _, t in named_tensors(cell, "c")]
-        err = ad.grad_check(lambda: ad.sum_all(ad.mul(cell.step(x, h), w)), leaves)
-        assert err < 1e-4
+        x = Tensor(rng.normal(size=(5, 4)))
+        w = Tensor(rng.normal(size=(5, 3)))
+        leaves = [x] + [t for _, t in named_tensors(cell, "c")]
+        for reverse in (False, True):
+            err = ad.grad_check(lambda: ad.sum_all(ad.mul(run_gru(x, cell, reverse), w)), leaves)
+            assert err < 1e-4, f"reverse={reverse}: worst relative error {err:.3e}"
 
     def test_full_encoder_grad_check(self):
         p = params(vocab=6, d_e=3, d_a=4)
@@ -103,3 +109,60 @@ class TestGradients:
             return ad.add(ad.sum_all(ad.mul(h_sent, w_sent)), ad.sum_all(ad.mul(states, w_char)))
 
         assert ad.grad_check(build, all_tensors(p)) < 1e-4
+
+
+class TestRunGru:
+    """run_gru against the per-position oracle: states and all seven gradients."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, Config.max_len + 1),
+        d_in=st.integers(1, 4),
+        k=st.integers(1, 3),
+        reverse=st.booleans(),
+        # Weights much past 2 let the recurrence amplify gradients, and their
+        # rounding, by up to 1e9 over 127 steps; the old per-step graph then
+        # differs from this oracle as much as run_gru does.
+        scale=st.sampled_from([0.1, 1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_step_oracle(self, n, d_in, k, reverse, scale, seed):
+        rng = np.random.default_rng(seed)
+        cell = GruCell(*(Tensor(rng.normal(size=t.shape) * scale)
+                         for _, t in named_tensors(GruCell.create(rng, d_in, k))))
+        params = [t for _, t in named_tensors(cell)]
+        x = Tensor(rng.normal(size=(n, d_in)))
+        g_out = rng.normal(size=(n, k))
+        out = run_gru(x, cell, reverse)
+        ad.sum_all(ad.mul(out, Tensor(g_out))).backward()
+
+        want, want_grads = gru_per_step(
+            x.value, *(t.value for t in params), reverse=reverse, g_out=g_out
+        )
+        np.testing.assert_allclose(out.value, want, rtol=0, atol=1e-12)
+        for name, got, ref in zip(
+            ["x"] + [f.name for f in fields(GruCell)], [x.grad] + [t.grad for t in params], want_grads
+        ):
+            tol = 1e-10 * max(1.0, np.abs(ref).max())
+            np.testing.assert_allclose(got, ref, rtol=0, atol=tol, err_msg=name)
+
+    def test_zero_state_start_per_direction(self):
+        # One row: each direction reads it from a zero state, so both agree
+        # with one oracle step.
+        rng = np.random.default_rng(8)
+        cell = GruCell.create(rng, d_in=3, k=2)
+        x = rng.normal(size=(1, 3))
+        want = gru_per_step(x, *(t.value for _, t in named_tensors(cell)))
+        for reverse in (False, True):
+            np.testing.assert_allclose(run_gru(Tensor(x), cell, reverse).value, want, atol=1e-15)
+
+    def test_saturated_gates_stay_finite(self):
+        # Inputs far past exp()'s range: the gates saturate at 0 and 1 with
+        # no overflow warning (the suite turns one into an error).
+        rng = np.random.default_rng(6)
+        cell = GruCell.create(rng, d_in=3, k=2)
+        x = Tensor(rng.normal(size=(6, 3)) * 1e4)
+        out = run_gru(x, cell)
+        ad.sum_all(out).backward()
+        assert np.all(np.abs(out.value) <= 1.0)
+        assert all(np.isfinite(t.grad).all() for _, t in named_tensors(cell))

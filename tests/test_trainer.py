@@ -127,6 +127,27 @@ class TestSentenceLoss:
             np.testing.assert_array_equal(table.grad, 0.0)
         np.testing.assert_array_equal(params.memory.values.grad, 0.0)
 
+    @pytest.mark.parametrize("switch_mode, limit", [("hard", 20), ("soft", 24)])
+    @pytest.mark.parametrize("t_len", [1, 12, 126])
+    def test_graph_size_does_not_grow_with_length(self, monkeypatch, switch_mode, limit, t_len):
+        # Every layer is one node, so a sentence's graph has a fixed number
+        # of tensors; a per-position graph would grow with t_len.
+        config = tiny_config(switch_mode=switch_mode)
+        train_c, vocab, lexicons, params, _ = tiny_setup(config)
+        chars = "".join(w for s in train_c.sentences for w in s.words)[:t_len]
+        assert len(chars) == t_len
+        prep = prepare_sentence(list(chars), 0, vocab, lexicons, config.max_ngram)
+        created = []
+        init = Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            created.append(1)
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        sentence_loss(params, prep, config)
+        assert len(created) <= limit
+
 
 class TestPredict:
     def test_shapes_and_determinism(self):
@@ -212,6 +233,14 @@ class TestTrainLoop:
         config = tiny_config(lr=1e308, epochs=2, batch=1)
         corpus, _ = make_synthetic_corpus(7, 8, 2)
         with np.errstate(all="ignore"), pytest.raises(NumericError):
+            train(corpus, None, config)
+
+    def test_divergence_names_epoch_and_sentence(self):
+        # Overflow raises inside the step, so no numpy warning escapes (the
+        # suite turns one into an error) and the error says where it happened.
+        config = tiny_config(lr=1e300, epochs=2)
+        corpus, _ = make_synthetic_corpus(7, 24, 2)
+        with pytest.raises(NumericError, match=r"epoch 1, sentence \d+"):
             train(corpus, None, config)
 
     def test_deterministic_checkpoint_bytes(self):
