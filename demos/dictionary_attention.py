@@ -21,23 +21,31 @@ sentence = corpus.sentences[0]
 chars = "".join(sentence.words)
 print(f"\nsentence (era {sentence.era_id}): {' '.join(sentence.words)}")
 
-for era, lex in enumerate(lexicons):
-    print(f"\nera {era} candidates per character:")
-    per_char = extract_candidates(chars, lex, max_ngram=3)
-    for ch, cands in zip(chars, per_char):
-        shown = ", ".join(
-            f"{lex.id_to_word[c.word_id]}/{VALUE_NAMES[c.value_class]}" for c in cands
-        )
-        print(f"  {ch}: {shown if shown else '(none)'}")
+# One scan of the sentence gives every era's candidates as padded (T, width)
+# arrays: row i lists the words covering character i, mask marks the real slots.
+candidates = extract_candidates(chars, lexicons, max_ngram=3)
 
-# One attention read: character state against that era's candidate keys.
+
+def described(lex, slots, i):
+    """Character i's candidates as "word/value class" strings."""
+    keep = slots.mask[i]
+    pairs = zip(slots.word_ids[i][keep], slots.classes[i][keep])
+    return [f"{lex.id_to_word[w]}/{VALUE_NAMES[c]}" for w, c in pairs]
+
+
+for era, (lex, slots) in enumerate(zip(lexicons, candidates)):
+    print(f"\nera {era} candidates per character (width {slots.mask.shape[1]}):")
+    for i, ch in enumerate(chars):
+        print(f"  {ch}: {', '.join(described(lex, slots, i)) or '(none)'}")
+
+# One attention read over the whole sentence; show the first character's weights.
 rng = np.random.default_rng(1)
 params = init_memory_params(rng, [len(lex) for lex in lexicons], d_a=8)
 era = sentence.era_id
-cands = extract_candidates(chars, lexicons[era], max_ngram=3)[0]
-h = Tensor(rng.normal(size=(1, 8)))
-probs = attend(h, [cands], params.keys[era])  # a one-character sentence
+slots = candidates[era]
+h = Tensor(rng.normal(size=(len(chars), 8)))
+probs = attend(h, slots, params.keys[era])
 print(f"\nattention over era-{era} candidates of the first character:")
-for c, p in zip(cands, probs[0]):
-    print(f"  {lexicons[era].id_to_word[c.word_id]:<4} {VALUE_NAMES[c.value_class]}: {p:.3f}")
-print(f"  (weights sum to {probs.sum():.3f})")
+for name, p in zip(described(lexicons[era], slots, 0), probs[0][slots.mask[0]]):
+    print(f"  {name:<8} {p:.3f}")
+print(f"  (weights sum to {probs[0].sum():.3f})")

@@ -20,7 +20,7 @@ from .corpus import (
     preprocess,
     words_to_bmes,
 )
-from .lexicon import Candidate, EraLexicon, build_lexicon, extract_candidates
+from .lexicon import CandidateSlots, EraLexicon, build_lexicon, extract_candidates
 from .metrics import era_accuracy, oov_recall, score_segmentation
 from .trainer import Checkpoint, Segmentation, segment, split_corpus, train
 
@@ -34,7 +34,7 @@ __all__ = [
     "make_synthetic_corpus",
     "preprocess",
     "words_to_bmes",
-    "Candidate",
+    "CandidateSlots",
     "EraLexicon",
     "build_lexicon",
     "extract_candidates",

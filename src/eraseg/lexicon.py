@@ -1,17 +1,20 @@
 """Per-era dictionaries and per-character candidate-word extraction.
 
 Each era gets one dictionary holding the era's training word types plus its
-high-frequency character bigrams and trigrams.  At tagging time a character
-collects every dictionary word that covers it, together with a boundary
-value class describing where the character sits inside the match.
+high-frequency character bigrams and trigrams.  One scan of a sentence gives,
+for every era, each character's dictionary words covering it, with a boundary
+value class for where the character sits inside the match, as padded arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import RawCorpus, read_lines
 from .errors import DataError
@@ -22,11 +25,13 @@ VALUE_NAMES = ("V_B", "V_M", "V_E", "V_S")
 N_VALUE_CLASSES = 4
 
 
-class Candidate(NamedTuple):
-    """A dictionary word covering one character position."""
+class CandidateSlots(NamedTuple):
+    """One era's candidates, each array (T, width): row i holds the words covering
+    character i, padded to the era's longest row; padded slots are False in mask."""
 
-    word_id: int
-    value_class: int
+    word_ids: np.ndarray
+    classes: np.ndarray
+    mask: np.ndarray
 
 
 def check_words(words: Iterable[str], owner: str) -> None:
@@ -71,11 +76,15 @@ class EraLexicon:
         return encode_words(self.id_to_word)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.serialize())
+        data = self.serialize()
+        if any(w.endswith("\r") for w in self.id_to_word):
+            data = data.replace(b"\n", b"\r\n")  # load_lexicon strips one "\r" per line
+        Path(path).write_bytes(data)
 
 
 def load_lexicon(path: str | Path, era_id: int) -> EraLexicon:
-    return EraLexicon.from_words(era_id, decode_words(read_lines(path)))
+    lines = (line.removesuffix("\r") for line in read_lines(path))  # LF or CRLF
+    return EraLexicon.from_words(era_id, decode_words(lines))
 
 
 def build_lexicon(
@@ -111,40 +120,41 @@ def build_lexicon(
 
 def extract_candidates(
     chars: Sequence[str],
-    lexicon: EraLexicon,
+    lexicons: Sequence[EraLexicon],
     max_ngram: int = 5,
-) -> list[list[Candidate]]:
-    """Collect, for every character position, the dictionary words covering it.
+) -> tuple[CandidateSlots, ...]:
+    """Collect, for every era and character position, the dictionary words covering it.
 
     chars holds one character per position.  Every window [s, s+n) with
-    n <= max_ngram is looked up in the lexicon, and each one found
-    contributes one candidate to each position it covers: V_S for a single-character match,
-    V_B at the first position, V_E at the last, V_M strictly inside.
-    Candidates are ordered by match start then length and deduplicated by
-    (word, value class), keeping the first occurrence.
+    n <= max_ngram is looked up once in each era's lexicon, and each one
+    found contributes one candidate to each position it covers: V_S for a
+    single-character match, V_B at the first position, V_E at the last, V_M
+    strictly inside.  Candidates are ordered by match start then length and
+    deduplicated by (word, value class), keeping the first occurrence.
     """
     if max_ngram < 1:
         raise DataError(f"max_ngram must be >= 1, got {max_ngram}")
     text = "".join(chars)
-    word_ids = lexicon.word_ids
-    out: list[list[Candidate]] = [[] for _ in chars]
-    seen: list[set[Candidate]] = [set() for _ in chars]
+    # classes[n - 1]: the value class of each character of an n-character match
+    classes = [(V_S,)] + [(V_B,) + (V_M,) * (n - 2) + (V_E,) for n in range(2, max_ngram + 1)]
+    # [era][position]: (word id, value class) keys in first-occurrence order
+    rows = [[{} for _ in text] for _ in lexicons]
     for start in range(len(text)):
         for n in range(1, min(max_ngram, len(text) - start) + 1):
-            word_id = word_ids.get(text[start : start + n])
-            if word_id is None:
-                continue
-            for i in range(start, start + n):
-                if n == 1:
-                    vc = V_S
-                elif i == start:
-                    vc = V_B
-                elif i == start + n - 1:
-                    vc = V_E
-                else:
-                    vc = V_M
-                cand = Candidate(word_id, vc)
-                if cand not in seen[i]:
-                    seen[i].add(cand)
-                    out[i].append(cand)
-    return out
+            word = text[start : start + n]
+            for lex, era_rows in zip(lexicons, rows):
+                word_id = lex.word_ids.get(word)
+                if word_id is not None:
+                    for i, vc in enumerate(classes[n - 1], start):
+                        era_rows[i].setdefault((word_id, vc))
+    return tuple(_slots(era_rows) for era_rows in rows)
+
+
+def _slots(rows: list[dict[tuple[int, int], None]]) -> CandidateSlots:
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    slots = np.zeros(mask.shape + (2,), dtype=np.intp)
+    # Boolean-mask assignment fills row-major, the order the candidates come in.
+    flat = chain.from_iterable(chain.from_iterable(rows))
+    slots[mask] = np.fromiter(flat, dtype=np.intp).reshape(-1, 2)
+    return CandidateSlots(slots[..., 0], slots[..., 1], mask)

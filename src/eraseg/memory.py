@@ -7,25 +7,21 @@ the keys and the cell output is the probability-weighted sum of the value
 embeddings.  A character with no candidates reads a zero vector, neutral
 under both fusion modes.
 
-A read covers a whole sentence, its candidate lists padded to the longest
-one: memory grows with T * width, not with T * (candidates in the sentence).
-It is one autodiff node, a numpy forward pass over the padded (T, width)
-slots (padded slots are masked out of the softmax) whose backward pass is
-the softmax-attention gradient.
+A read covers a whole sentence, over the padded (T, width) candidate slots
+that lexicon.extract_candidates builds once per sentence: memory grows with
+T * width, not with T * (candidates in the sentence).  It is one autodiff node: a numpy forward pass over the slots (padded slots are masked out of the
+softmax) whose backward pass is the softmax-attention gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, uniform
-from .lexicon import N_VALUE_CLASSES, Candidate
-
-CandidateLists = Sequence[Sequence[Candidate]]  # [position][candidate]
+from .lexicon import N_VALUE_CLASSES, CandidateSlots
 
 
 @dataclass
@@ -47,18 +43,10 @@ def init_memory_params(
     )
 
 
-def _pad(states: Tensor, candidates_per_position: CandidateLists) -> tuple[np.ndarray, ...]:
-    """(word ids, value classes, mask), each (T, width); padded slots are False in the mask."""
-    t_len = len(candidates_per_position)
+def _check_rows(states: Tensor, slots: CandidateSlots) -> None:
+    t_len = len(slots.mask)
     if states.shape[0] != t_len:
         raise ValueError(f"{states.shape[0]} states but candidates for {t_len} positions")
-    lengths = np.fromiter(map(len, candidates_per_position), dtype=np.intp, count=t_len)
-    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    slots = np.zeros(mask.shape + (2,), dtype=np.intp)
-    # Boolean-mask assignment fills row-major, the order the candidates come in.
-    flat = chain.from_iterable(chain.from_iterable(candidates_per_position))
-    slots[mask] = np.fromiter(flat, dtype=np.intp).reshape(-1, 2)
-    return slots[..., 0], slots[..., 1], mask
 
 
 def _softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -68,21 +56,19 @@ def _softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.divide(weights, weights.sum(axis=1, keepdims=True), where=mask, out=weights)
 
 
-def attend(
-    states: Tensor, candidates_per_position: CandidateLists, key_table: Tensor
-) -> np.ndarray:
+def attend(states: Tensor, slots: CandidateSlots, key_table: Tensor) -> np.ndarray:
     """Attention weights of each character over its candidates' keys: (T, width).
 
-    Row i is the softmax of h_i dot each candidate's key, zero-padded to the
-    longest candidate list; a character with no candidates gets a zero row.
+    Row i is the softmax of h_i dot each candidate's key, zero in the padded
+    slots; a character with no candidates gets a zero row.
     """
-    word_ids, _, mask = _pad(states, candidates_per_position)
-    scores = np.einsum("td,twd->tw", states.value, key_table.value[word_ids])
-    return _softmax(scores, mask)
+    _check_rows(states, slots)
+    scores = np.einsum("td,twd->tw", states.value, key_table.value[slots.word_ids])
+    return _softmax(scores, slots.mask)
 
 
 def read_cell(
-    states: Tensor, candidates_per_position: CandidateLists, key_table: Tensor, value_table: Tensor
+    states: Tensor, slots: CandidateSlots, key_table: Tensor, value_table: Tensor
 ) -> Tensor:
     """One era's memory output for a whole sentence, (T, d_a) from (T, d_a) states, as one node.
 
@@ -91,7 +77,8 @@ def read_cell(
     gradient is p * (dp - sum over the row of p * dp), and it flows to the
     state and to the slot's key.
     """
-    word_ids, classes, mask = _pad(states, candidates_per_position)
+    _check_rows(states, slots)
+    word_ids, classes, mask = slots
     keys = key_table.value[word_ids]  # (T, width, d_a)
     weights = _softmax(np.einsum("td,twd->tw", states.value, keys), mask)
     rows = np.arange(len(mask))[:, None]

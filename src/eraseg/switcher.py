@@ -27,10 +27,6 @@ class DiscriminatorParams:
     weight: Tensor  # (d_a, E)
     bias: Tensor  # (1, E)
 
-    @property
-    def n_eras(self) -> int:
-        return self.weight.shape[1]
-
 
 @dataclass
 class FusionParams:
@@ -63,19 +59,18 @@ def era_logits(h_sentence: Tensor, params: DiscriminatorParams) -> Tensor:
     return ad.add(ad.matmul(h_sentence, params.weight), params.bias)
 
 
-def classify_era(h_sentence: Tensor, params: DiscriminatorParams) -> Tensor:
-    """Distribution over eras for one sentence vector: (1, E), sums to 1."""
-    return ad.softmax_row(era_logits(h_sentence, params))
+def classify_era(logits: Tensor) -> Tensor:
+    """Distribution over eras from one sentence's (1, E) era logits; sums to 1."""
+    return ad.softmax_row(logits)
 
 
-def discriminator_nll(h_sentence: Tensor, params: DiscriminatorParams, gold_era: int) -> Tensor:
-    """Cross-entropy of the gold era, -log p(gold), as one node.
+def discriminator_nll(logits: Tensor, gold_era: int) -> Tensor:
+    """Cross-entropy of the gold era under the (1, E) era logits, -log p(gold), as one node.
 
     Its backward pass gives the logits the softmax minus the one-hot gold era.
     """
-    if not (0 <= gold_era < params.n_eras):
-        raise ValueError(f"era id {gold_era} out of range for {params.n_eras} eras")
-    logits = era_logits(h_sentence, params)
+    if not (0 <= gold_era < logits.shape[1]):
+        raise ValueError(f"era id {gold_era} out of range for {logits.shape[1]} eras")
     shifted = logits.value - logits.value.max()
     e = np.exp(shifted)
     total = e.sum()

@@ -26,7 +26,7 @@ from .corpus import TAG_TO_ID, TAGS, RawCorpus, Vocab, bmes_to_words, preprocess
 from .crf import CrfParams, emissions, init_crf_params, nll, viterbi
 from .encoder import EncoderParams, encode, init_encoder_params
 from .errors import ConfigError, DataError, NumericError
-from .lexicon import Candidate, EraLexicon, build_lexicon, extract_candidates
+from .lexicon import CandidateSlots, EraLexicon, build_lexicon, extract_candidates
 from .lexicon import check_words, decode_words, encode_words  # the word-list codec
 from .memory import MemoryParams, init_memory_params, read_cell
 from .metrics import score_segmentation
@@ -35,6 +35,7 @@ from .switcher import (
     FusionParams,
     classify_era,
     discriminator_nll,
+    era_logits,
     fuse,
     init_discriminator_params,
     init_fusion_params,
@@ -88,7 +89,7 @@ class PreparedSentence:
     tags: list[int] | None
     era_id: int | None
     gold_words: tuple[str, ...] | None
-    candidates: list[list[list[Candidate]]]  # [era][position][candidate]
+    candidates: tuple[CandidateSlots, ...]  # one per era
 
 
 def prepare_sentence(
@@ -109,7 +110,7 @@ def prepare_sentence(
         tags=tags,
         era_id=era_id,
         gold_words=tuple(words) if with_tags else None,
-        candidates=[extract_candidates(chars, lex, max_ngram) for lex in lexicons],
+        candidates=extract_candidates(chars, lexicons, max_ngram),
     )
 
 
@@ -150,11 +151,12 @@ def sentence_loss(
     if not (0 <= prep.era_id < config.eras):
         raise DataError(f"era id {prep.era_id} out of range for {config.eras} eras")
     h_sent, states = encode(prep.char_ids, params.encoder)
-    disc_loss = discriminator_nll(h_sent, params.disc, prep.era_id)
+    logits = era_logits(h_sent, params.disc)
+    disc_loss = discriminator_nll(logits, prep.era_id)
     era = route(config.switch_mode, None, prep.era_id, training=True)
     era_probs = None
     if era is None and config.memory_enabled:
-        era_probs = classify_era(h_sent, params.disc)
+        era_probs = classify_era(logits)
     feats = _assemble_features(params, prep, config, states, era, era_probs)
     cws_loss = nll(emissions(feats, params.crf), params.crf.transitions, prep.tags)
     loss = ad.add(ad.scale(cws_loss, config.alpha), ad.scale(disc_loss, 1.0 - config.alpha))
@@ -170,7 +172,7 @@ def predict_sentence(
     force_era overrides the classifier and routes that era's memory.
     """
     h_sent, states = encode(prep.char_ids, params.encoder)
-    era_probs = classify_era(h_sent, params.disc)
+    era_probs = classify_era(era_logits(h_sent, params.disc))
     if force_era is not None:
         if not (0 <= force_era < config.eras):
             raise ValueError(f"era id {force_era} out of range for {config.eras} eras")

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from eraseg.lexicon import CandidateSlots
+
 N_LABELS = 4
 START_ROW = 4
 
@@ -119,6 +121,23 @@ def read_cell_per_position(states, candidates_per_position, keys, values):
         for p_j, (_, value_class) in zip(p, cands):
             out[i] += p_j * values[value_class]
     return out
+
+
+def pad_candidates(candidates_per_position):
+    """CandidateSlots holding per-position (word_id, value_class) lists, in list order.
+
+    Row i holds position i's candidates in its first slots; the rest are
+    padding, word id 0 and class 0, False in the mask.
+    """
+    t_len = len(candidates_per_position)
+    width = max(map(len, candidates_per_position), default=0)
+    word_ids = np.zeros((t_len, width), dtype=np.intp)
+    classes = np.zeros((t_len, width), dtype=np.intp)
+    mask = np.zeros((t_len, width), dtype=bool)
+    for i, cands in enumerate(candidates_per_position):
+        for j, (word_id, value_class) in enumerate(cands):
+            word_ids[i, j], classes[i, j], mask[i, j] = word_id, value_class, True
+    return CandidateSlots(word_ids, classes, mask)
 
 
 def _logistic(v):

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import brute_log_partition, brute_viterbi
+from _oracles import brute_log_partition, brute_viterbi, pad_candidates
 
 import eraseg.autodiff as ad
 from eraseg.autodiff import Tensor, named_tensors
@@ -23,11 +23,11 @@ from eraseg.config import Config
 from eraseg.corpus import Vocab, make_synthetic_corpus
 from eraseg.crf import log_partition, nll, viterbi
 from eraseg.encoder import GruCell, run_gru
-from eraseg.lexicon import V_B, V_E, V_S, Candidate, build_lexicon
+from eraseg.lexicon import V_B, V_E, V_S, build_lexicon
 from eraseg.memory import read_cell
 from eraseg.metrics import machine_line, oov_recall, score_segmentation
 from eraseg.metrics import era_accuracy
-from eraseg.switcher import DiscriminatorParams, discriminator_nll, switch
+from eraseg.switcher import DiscriminatorParams, discriminator_nll, era_logits, switch
 from eraseg.trainer import (
     init_model_params,
     predict_sentence,
@@ -114,11 +114,11 @@ def _op_cases(rng):
     m, n = t(3, 5), t(5, 2)
     probs = t(2, 6)
     # positions with two candidates of one word, none, and three
-    ragged = [
-        [Candidate(2, V_B), Candidate(2, V_S)],
+    ragged = pad_candidates([
+        [(2, V_B), (2, V_S)],
         [],
-        [Candidate(0, V_E), Candidate(4, V_B), Candidate(1, V_S)],
-    ]
+        [(0, V_E), (4, V_B), (1, V_S)],
+    ])
     # input rows, then a GRU cell's six parameters (d_in = 4, k = 3)
     gru_args = (t(5, 4), t(4, 6), t(3, 6), t(1, 6), t(4, 3), t(3, 3), t(1, 3))
     return [
@@ -137,7 +137,7 @@ def _op_cases(rng):
         ("read_cell ragged", lambda s, k, v: read_cell(s, ragged, k, v), (a, t(5, 4), t(4, 4))),
         (
             "discriminator_nll",
-            lambda h, w, c: discriminator_nll(h, DiscriminatorParams(w, c), 1),
+            lambda h, w, c: discriminator_nll(era_logits(h, DiscriminatorParams(w, c)), 1),
             (t(1, 4), t(4, 3), t(1, 3)),
         ),
         ("switch soft", lambda p, *cells: switch(cells, p, "soft"), (t(1, 3), a, b, t(3, 4))),

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eraseg.corpus import RawCorpus, RawSentence
 from eraseg.errors import DataError
@@ -8,12 +9,13 @@ from eraseg.lexicon import (
     V_E,
     V_M,
     V_S,
-    Candidate,
     EraLexicon,
     build_lexicon,
     extract_candidates,
     load_lexicon,
 )
+
+from _oracles import pad_candidates
 
 ALPHA = "abcdef"
 
@@ -44,7 +46,7 @@ def brute_force_candidates(chars, lexicon, max_ngram):
                     vc = V_E
                 else:
                     vc = V_M
-                cand = Candidate(wid, vc)
+                cand = (wid, vc)
                 if cand not in out[pos]:
                     out[pos].append(cand)
     return out
@@ -107,6 +109,17 @@ class TestSerialization:
         with pytest.raises(DataError, match="era 0 lexicon"):
             EraLexicon.from_words(0, ["ab", word])
 
+    def test_crlf_file_loads_as_its_lf_twin(self, tmp_path):
+        crlf, lf = tmp_path / "crlf.dict", tmp_path / "lf.dict"
+        crlf.write_bytes("山水\r\n金\r\n".encode("utf-8"))
+        lf.write_bytes("山水\n金\n".encode("utf-8"))
+        assert load_lexicon(crlf, era_id=0) == load_lexicon(lf, era_id=0)
+
+    def test_words_ending_in_cr_round_trip(self, tmp_path):
+        lex = EraLexicon.from_words(0, ["\r", "a\r", "b", "c\rd"])
+        lex.save(tmp_path / "cr.dict")
+        assert load_lexicon(tmp_path / "cr.dict", era_id=0) == lex
+
     def test_save_bytes_stable(self, tmp_path):
         lex = build_lexicon(corpus_of([["ab", "c"]]), era_id=0, ngram_min_count=10)
         p1, p2 = tmp_path / "a.dict", tmp_path / "b.dict"
@@ -115,37 +128,70 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def assert_slots_equal(got, want):
+    for got_array, want_array in zip(got, want, strict=True):
+        np.testing.assert_array_equal(got_array, want_array, strict=True)
+
+
+def row(slots, i):
+    """Position i's (word id, value class) pairs, in slot order."""
+    keep = slots.mask[i]
+    return list(zip(slots.word_ids[i][keep].tolist(), slots.classes[i][keep].tolist()))
+
+
+@st.composite
+def sentence_and_era_words(draw):
+    """A sentence of 1 to 40 characters over 3 letters, often periodic, and the
+    words of 1 to 4 lexicons, drawn at random or as windows of the sentence.
+
+    Repeated windows make duplicate V_M candidates occur: "aaaa" in
+    "aaaaa" covers position 2 twice.
+    """
+    t_len = draw(st.integers(min_value=1, max_value=40))
+    unit = draw(st.text(alphabet="abc", min_size=1, max_size=2))
+    periodic = st.just((unit * t_len)[:t_len])
+    sentence = draw(st.text(alphabet="abc", min_size=t_len, max_size=t_len) | periodic)
+    starts, lengths = st.integers(0, t_len - 1), st.integers(1, 6)
+    window = st.builds(lambda s, n: sentence[s : s + n], starts, lengths)
+    words = st.text(alphabet="abc", min_size=1, max_size=6) | window
+    return sentence, draw(st.lists(st.lists(words, max_size=12), min_size=1, max_size=4))
+
+
 class TestExtractCandidates:
     def lex(self, words):
         return EraLexicon.from_words(0, words)
 
+    def candidates(self, chars, lex, max_ngram=5):
+        (slots,) = extract_candidates(chars, [lex], max_ngram)
+        return slots
+
     def test_middle_char_of_three(self):
         # Sentence "abc", words {ab, bc, abc}: position 1 sees all three.
         lex = self.lex(["ab", "bc", "abc"])
-        cands = extract_candidates(list("abc"), lex)
-        classes = {(lex.id_to_word[c.word_id], c.value_class) for c in cands[1]}
+        cands = self.candidates(list("abc"), lex)
+        classes = {(lex.id_to_word[w], vc) for w, vc in row(cands, 1)}
         assert classes == {("ab", V_E), ("bc", V_B), ("abc", V_M)}
 
     def test_single_char_word(self):
         lex = self.lex(["a"])
-        cands = extract_candidates(list("a"), lex)
-        assert cands[0] == [Candidate(lex.word_ids["a"], V_S)]
+        cands = self.candidates(list("a"), lex)
+        assert row(cands, 0) == [(lex.word_ids["a"], V_S)]
 
     def test_empty_lexicon_all_empty(self):
         lex = self.lex([])
-        assert extract_candidates(list("abc"), lex) == [[], [], []]
+        assert_slots_equal(self.candidates(list("abc"), lex), pad_candidates([[], [], []]))
 
     def test_no_duplicate_pairs(self):
         # "aa" with word "a": both occurrences hit position-specific sets once.
         lex = self.lex(["a", "aa"])
-        cands = extract_candidates(list("aaa"), lex)
-        for per_pos in cands:
-            assert len(per_pos) == len(set(per_pos))
+        cands = self.candidates(list("aaa"), lex)
+        for i in range(3):
+            assert len(row(cands, i)) == len(set(row(cands, i)))
 
     def test_order_by_start_then_length(self):
         lex = self.lex(["b", "ab", "bc", "abc"])
-        cands = extract_candidates(list("abc"), lex)
-        names = [lex.id_to_word[c.word_id] for c in cands[1]]
+        cands = self.candidates(list("abc"), lex)
+        names = [lex.id_to_word[w] for w, _ in row(cands, 1)]
         assert names == ["ab", "abc", "b", "bc"]
 
     @settings(max_examples=200, deadline=None)
@@ -159,11 +205,24 @@ class TestExtractCandidates:
         # hence every downstream sum, so compare lists, not sets.
         lex = self.lex(words)
         chars = list(sentence)
-        got = extract_candidates(chars, lex, max_ngram=max_ngram)
-        assert got == brute_force_candidates(chars, lex, max_ngram=max_ngram)
+        got = self.candidates(chars, lex, max_ngram=max_ngram)
+        assert_slots_equal(got, pad_candidates(brute_force_candidates(chars, lex, max_ngram)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sentence_and_era_words(), st.integers(min_value=1, max_value=6))
+    @example(("aaaaa", [["aaaa"], ["a", "aa"]]), 4)
+    def test_one_scan_matches_brute_force_for_every_era(self, drawn, max_ngram):
+        sentence, era_words = drawn
+        lexicons = [EraLexicon.from_words(d, words) for d, words in enumerate(era_words)]
+        chars = list(sentence)
+        got = extract_candidates(chars, lexicons, max_ngram)
+        assert len(got) == len(lexicons)
+        for slots, lex in zip(got, lexicons):
+            want = brute_force_candidates(chars, lex, max_ngram)
+            assert_slots_equal(slots, pad_candidates(want))
 
     def test_max_ngram_limits_window(self):
         lex = self.lex(["abcde", "ab"])
-        cands = extract_candidates(list("abcde"), lex, max_ngram=2)
-        found = {lex.id_to_word[c.word_id] for per in cands for c in per}
+        cands = self.candidates(list("abcde"), lex, max_ngram=2)
+        found = {lex.id_to_word[w] for w in cands.word_ids[cands.mask].tolist()}
         assert found == {"ab"}

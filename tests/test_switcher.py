@@ -32,31 +32,31 @@ def cells(n, d_a=3):
 class TestClassifyEra:
     def test_zero_params_give_uniform(self):
         p = DiscriminatorParams(weight=Tensor(np.zeros((3, 4))), bias=Tensor(np.zeros((1, 4))))
-        probs = classify_era(Tensor(RNG.normal(size=(1, 3))), p)
+        probs = classify_era(era_logits(Tensor(RNG.normal(size=(1, 3))), p))
         np.testing.assert_allclose(probs.value, np.full((1, 4), 0.25), atol=1e-12)
 
     def test_analytic_two_era_case(self):
         p = DiscriminatorParams(
             weight=Tensor(np.zeros((2, 2))), bias=Tensor([[0.0, math.log(3.0)]])
         )
-        probs = classify_era(Tensor([[5.0, -2.0]]), p)
+        probs = classify_era(era_logits(Tensor([[5.0, -2.0]]), p))
         np.testing.assert_allclose(probs.value, [[0.25, 0.75]], atol=1e-12)
 
     def test_sums_to_one(self):
         p = init_discriminator_params(RNG, d_a=6, n_eras=4)
-        probs = classify_era(Tensor(RNG.normal(size=(1, 6)) * 5), p)
+        probs = classify_era(era_logits(Tensor(RNG.normal(size=(1, 6)) * 5), p))
         assert abs(probs.value.sum() - 1.0) < 1e-12
 
     def test_confident_correct_prediction_has_near_zero_loss(self):
         p = DiscriminatorParams(weight=Tensor(np.zeros((2, 2))), bias=Tensor([[50.0, 0.0]]))
         h = Tensor([[0.0, 0.0]])
-        assert discriminator_nll(h, p, gold_era=0).value[0, 0] < 1e-12
-        assert discriminator_nll(h, p, gold_era=1).value[0, 0] > 10.0
+        assert discriminator_nll(era_logits(h, p), gold_era=0).value[0, 0] < 1e-12
+        assert discriminator_nll(era_logits(h, p), gold_era=1).value[0, 0] > 10.0
 
     def test_bad_era_id_rejected(self):
         p = init_discriminator_params(RNG, d_a=2, n_eras=2)
         with pytest.raises(ValueError, match="out of range"):
-            discriminator_nll(Tensor(np.zeros((1, 2))), p, gold_era=2)
+            discriminator_nll(era_logits(Tensor(np.zeros((1, 2))), p), gold_era=2)
 
     def test_too_few_eras_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -187,7 +187,7 @@ class TestFuse:
         leaves += [t for _, t in named_tensors(fus)]
 
         def build():
-            probs = classify_era(h_sent, disc)
+            probs = classify_era(era_logits(h_sent, disc))
             out = switch(os, probs, "soft")
             return ad.sum_all(ad.mul(fuse(out, h_char, fus, "concat"), w))
 
