@@ -1,7 +1,7 @@
 """Train a model end to end and segment era-hybrid text.
 
-Runs on the synthetic bi-era corpus; the whole script takes two to three
-minutes on a laptop CPU.  After training, the same surface string is
+Runs on the synthetic bi-era corpus; the whole script takes a few seconds
+on one CPU core.  After training, the same surface string is
 segmented twice with the memory pinned to each era to show the switching
 behavior, then the held-out sentences are scored.
 """

@@ -5,17 +5,19 @@ its value, its parent tensors, and a closure that takes the op's output
 gradient and pushes it back to the parents.  The closure never refers to
 its own output tensor, so a graph holds no reference cycle and is freed by
 reference counting as soon as its root is dropped.  backward() walks the
-graph once in reverse topological order.  Graphs are rebuilt per example;
-only leaf tensors (parameters) survive between runs, accumulating into
-.grad until zero_grad().  An op's output gets its .grad buffer only when a
-backward pass reaches it, so forward-only graphs allocate none.
+graph once in reverse topological order.  Graphs are rebuilt per batch of
+sentences; only leaf tensors (parameters) survive between runs,
+accumulating into .grad until zero_grad().  An op's output gets its .grad
+buffer only when a backward pass reaches it, so forward-only graphs
+allocate none.
 
-Each model layer is one sentence-level node built the same way, a numpy
-forward pass with a hand-written backward: encoder.run_gru,
+Each model layer is one node over a whole batch, built the same way, a
+numpy forward pass with a hand-written backward: encoder.run_bigru,
 memory.read_cell, switcher.switch and switcher.discriminator_nll,
 crf.log_partition and crf.nll.  The ops here are the glue between them:
-affine maps, column joins, row gathers and the softmax of the era
-classifier.  mul, sum_all and tanh serve the tests and the demos.
+affine maps, column joins, row gathers, the softmax of the era
+classifier and the sum that makes the batch loss.  mul and tanh serve the
+tests and the demos.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class Tensor:
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS, so a chain of ops may be deeper than the recursion
-    # limit.  (The model's own graphs are about 20 nodes per sentence.)
+    # limit.  (The model's own graphs are about 20 nodes per batch.)
     # Tensors hash by identity.
     order: list[Tensor] = []
     visited: set[Tensor] = set()
@@ -222,12 +224,11 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows by index, duplicates allowed: (n,m) -> (len(indices), m)."""
-    idx = list(indices)
-    if not idx:
-        raise ValueError("gather_rows with no indices")
-    n = a.shape[0]
-    if any(not (0 <= i < n) for i in idx):
-        raise ValueError(f"gather_rows: index out of range for {a.shape}: {idx}")
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1 or not idx.size:
+        raise ValueError("gather_rows takes a nonempty sequence of row indices")
+    if idx.min() < 0 or idx.max() >= a.shape[0]:
+        raise ValueError(f"gather_rows: index out of range for {a.shape}: {idx.tolist()}")
 
     def backward(g):
         np.add.at(a.grad, idx, g)

@@ -20,6 +20,7 @@ from .lexicon import build_lexicon, load_lexicon
 from .metrics import era_accuracy, format_report, oov_recall, score_segmentation
 from .trainer import (
     Checkpoint,
+    numeric_guard,
     predict_sentence,
     prepare_sentence,
     segment,
@@ -131,7 +132,8 @@ def cmd_train(args) -> int:
         dev = "NA" if stats.dev_f1 is None else f"{stats.dev_f1:.4f}"
         _log(
             f"epoch {stats.epoch}: loss={stats.mean_loss:.4f} "
-            f"cws={stats.mean_cws:.4f} disc={stats.mean_disc:.4f} dev_f1={dev}"
+            f"cws={stats.mean_cws:.4f} disc={stats.mean_disc:.4f} dev_f1={dev} "
+            f"grad_norm={stats.max_grad_norm:.4f} clipped={stats.clipped_steps}/{stats.steps}"
         )
 
     ckpt = train(train_part, dev_part, config, lexicons=lexicons, on_epoch=log_epoch)
@@ -170,15 +172,16 @@ def cmd_eval(args) -> int:
         raise DataError(f"era ids {bad} out of range for {ckpt.config.eras} eras")
 
     gold_words, pred_words, gold_eras, pred_eras = [], [], [], []
-    for sent in corpus.sentences:
-        prep = prepare_sentence(
-            sent.words, sent.era_id, ckpt.vocab, ckpt.lexicons, ckpt.config.max_ngram
-        )
-        words, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
-        gold_words.append(list(sent.words))
-        pred_words.append(list(words))
-        gold_eras.append(sent.era_id)
-        pred_eras.append(era)
+    with numeric_guard(lambda: "evaluation failed"):
+        for sent in corpus.sentences:
+            prep = prepare_sentence(
+                sent.words, sent.era_id, ckpt.vocab, ckpt.lexicons, ckpt.config.max_ngram
+            )
+            words, era, _ = predict_sentence(ckpt.params, prep, ckpt.config)
+            gold_words.append(list(sent.words))
+            pred_words.append(list(words))
+            gold_eras.append(sent.era_id)
+            pred_eras.append(era)
 
     rows = []
     for era in sorted({e for e, _ in pairs}):

@@ -5,8 +5,9 @@ pairwise transition scores, with one extra virtual row of transitions out
 of a start state so the first position has a prior.  One numpy suffix
 recursion serves both passes over the chain: with max it gives Viterbi's
 best suffix scores, with log-sum-exp the forward and backward log scores
-of the partition function.  The partition function and the loss, log Z
-minus the gold path's score, are one autodiff node each: the backward pass
+of the partition function, over a batch of chains at once.  The partition
+function and the loss, log Z minus the gold path's score, are one autodiff
+node each, the loss over a packed batch of sentences: the backward pass
 adds the forward-backward marginals, and the loss's subtracts the number
 of times the gold path takes each emission and transition.
 """
@@ -70,15 +71,17 @@ def _check_chain(emit: np.ndarray, transitions: np.ndarray) -> None:
 
 
 def _suffix_scores(emit: np.ndarray, core: np.ndarray, reduce) -> np.ndarray:
-    """beta[t, y] = emit[t, y] + reduce over z of (core[y, z] + beta[t + 1, z]).
+    """beta[t, b, y] = emit[t, b, y] + reduce over z of (core[y, z] + beta[t + 1, b, z]).
 
-    reduce is a ufunc reduction (np.maximum.reduce, np.logaddexp.reduce);
-    the last row is the last emission.
+    emit is an (n, B, 4) batch of B chains that all end at step n - 1; a
+    shorter chain is padded before its start, and its scores there are
+    never read.  reduce is a ufunc reduction (np.maximum.reduce,
+    np.logaddexp.reduce); the last step is the last emission.
     """
     beta = np.empty(emit.shape)
     beta[-1] = emit[-1]
     for t in range(len(emit) - 2, -1, -1):
-        beta[t] = emit[t] + reduce(core + beta[t + 1], axis=1)
+        beta[t] = emit[t] + reduce(core + beta[t + 1, :, None, :], axis=2)
     return beta
 
 
@@ -93,56 +96,91 @@ def _row_probs(log_scores: np.ndarray) -> np.ndarray:
     return np.exp(log_scores - np.logaddexp.reduce(log_scores, axis=1)[:, None])
 
 
-def _partition(emit: Tensor, transitions: Tensor) -> tuple[float, Callable[[float], None]]:
-    """log Z, and the function that adds g times its gradient, the marginals.
+def _partition(
+    emit: Tensor, transitions: Tensor, lengths: Sequence[int]
+) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+    """log Z of each chain, and the function that adds g[b] times chain b's gradient.
 
-    alpha[t, y], the log-sum-exp score of the prefixes ending in y at t,
-    is the suffix recursion run over the reversed sentence with the
-    transitions transposed and the START row added to the first emission;
-    beta is the same recursion run forward.  The marginals are P(y_t = y),
-    added to emit.grad, and each transition's expected number of uses,
-    added to transitions.grad.
+    emit holds the chains' rows one after another, lengths[b] rows for
+    chain b.  alpha[t, y], the log-sum-exp score of the prefixes ending in
+    y at t, is the suffix recursion run over the reversed chains with the
+    transitions transposed and the START row added to each first emission;
+    beta is the same recursion run forward.  The gradient is the marginals
+    P(y_t = y), added to emit.grad, and each transition's expected number
+    of uses, added to transitions.grad.
     """
     _check_chain(emit.value, transitions.value)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(emit.value):
+        raise ValueError(f"chain lengths {lengths.tolist()} do not pack {len(emit.value)} rows")
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    n_steps = int(lengths.max())
+    step = np.arange(n_steps)[:, None]
+    real = step >= n_steps - lengths  # (n, B): each chain ends at the last step
+    # The row each step reads, in chain order and reversed; padding reads row 0.
+    ahead = np.where(real, ends - n_steps + step, 0)
+    back = np.where(real, starts + n_steps - 1 - step, 0)
     core = transitions.value[:N_LABELS]
     first = emit.value.copy()
-    first[0] += transitions.value[START]
-    alpha = _suffix_scores(first[::-1], core.T, np.logaddexp.reduce)[::-1]
+    first[starts] += transitions.value[START]
+    alpha = np.empty(first.shape)
+    alpha[back[real]] = _suffix_scores(first[back], core.T, np.logaddexp.reduce)[real]
 
-    def add_marginals(g: float) -> None:
-        beta = _suffix_scores(emit.value, core, np.logaddexp.reduce)
+    def add_gradient(g: np.ndarray) -> None:
+        beta = np.empty(first.shape)
+        beta[ahead[real]] = _suffix_scores(emit.value[ahead], core, np.logaddexp.reduce)[real]
         node = _row_probs(alpha + beta - emit.value)  # P(y_t = y)
-        edge = alpha[:-1, :, None] + core + beta[1:, None, :]  # log P(y_t, y_t+1), unnormalized
+        inner = np.delete(np.arange(len(first)), ends - 1)  # rows with a next row in their chain
+        # log P(y_t, y_t+1), unnormalized
+        edge = alpha[inner, :, None] + core + beta[inner + 1, None, :]
         edge = _row_probs(edge.reshape(-1, N_LABELS * N_LABELS))
-        emit.grad += g * node
-        transitions.grad[:N_LABELS] += g * edge.sum(axis=0).reshape(N_LABELS, N_LABELS)
-        transitions.grad[START] += g * node[0]
+        g_rows = np.repeat(g, lengths)[:, None]
+        emit.grad += g_rows * node
+        edge_uses = (g_rows[inner] * edge).sum(axis=0)
+        transitions.grad[:N_LABELS] += edge_uses.reshape(N_LABELS, N_LABELS)
+        transitions.grad[START] += g @ node[starts]
 
-    return np.logaddexp.reduce(alpha[-1]), add_marginals
+    return np.logaddexp.reduce(alpha[ends - 1], axis=1), add_gradient
 
 
 def log_partition(emit: Tensor, transitions: Tensor) -> Tensor:
     """log of the summed exp path score over all 4^T sequences, as one node."""
-    log_z, add_marginals = _partition(emit, transitions)
-    return Tensor([[log_z]], (emit, transitions), lambda g: add_marginals(g[0, 0]))
+    log_z, add_gradient = _partition(emit, transitions, [emit.shape[0]])
+    return Tensor(log_z[:, None], (emit, transitions), lambda g: add_gradient(g[:, 0]))
 
 
-def nll(emit: Tensor, transitions: Tensor, tags: Sequence[int]) -> Tensor:
-    """-log P(gold tags) = log Z - their path score >= 0, as one node.
+def nll(
+    emit: Tensor, transitions: Tensor, tags: Sequence[int], lengths: Sequence[int] | None = None
+) -> Tensor:
+    """-log P(gold tags) = log Z - their path score >= 0, per sentence, as one (B, 1) node.
 
-    The backward pass adds the marginals minus the gold path's counts.
+    emit and tags hold the B sentences' positions one after another,
+    lengths[b] of them for sentence b (by default one sentence of all of
+    emit's rows).  The backward pass adds the marginals minus the gold
+    path's counts.
     """
-    log_z, add_marginals = _partition(emit, transitions)
-    on_path, steps = path_counts(tags, emit.shape[0])
+    if lengths is None:
+        lengths = [emit.shape[0]]
+    log_z, add_gradient = _partition(emit, transitions, lengths)
+    tags = list(tags)
+    if len(tags) != emit.shape[0]:
+        raise ValueError(f"{len(tags)} tags for {emit.shape[0]} positions")
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    counts = [path_counts(tags[a:b], b - a) for a, b in zip(starts, ends)]
+    on_path = np.concatenate([c[0] for c in counts])
+    steps = np.stack([c[1] for c in counts])  # (B, 5, 4)
 
     def backward(g):
-        g = g[0, 0]
-        add_marginals(g)
-        emit.grad -= g * on_path
-        transitions.grad -= g * steps
+        g = g[:, 0]
+        add_gradient(g)
+        emit.grad -= np.repeat(g, lengths)[:, None] * on_path
+        transitions.grad -= np.tensordot(g, steps, axes=1)
 
-    gold = (emit.value * on_path).sum() + (transitions.value * steps).sum()
-    return Tensor([[log_z - gold]], (emit, transitions), backward)
+    gold = np.add.reduceat((emit.value * on_path).sum(axis=1), starts)
+    gold += (transitions.value * steps).sum(axis=(1, 2))
+    return Tensor((log_z - gold)[:, None], (emit, transitions), backward)
 
 
 def viterbi(emit: np.ndarray, transitions: np.ndarray) -> tuple[list[int], float]:
@@ -160,7 +198,7 @@ def viterbi(emit: np.ndarray, transitions: np.ndarray) -> tuple[list[int], float
     transitions = np.asarray(transitions, dtype=np.float64)
     _check_chain(emit, transitions)
     core = transitions[:N_LABELS, :]
-    beta = _suffix_scores(emit, core, np.maximum.reduce)
+    beta = _suffix_scores(emit[:, None], core, np.maximum.reduce)[:, 0]
 
     first = transitions[START] + beta[0]
     tags = [int(np.argmax(first))]  # argmax returns the first (lowest) index

@@ -158,3 +158,19 @@ def _slots(rows: list[dict[tuple[int, int], None]]) -> CandidateSlots:
     flat = chain.from_iterable(chain.from_iterable(rows))
     slots[mask] = np.fromiter(flat, dtype=np.intp).reshape(-1, 2)
     return CandidateSlots(slots[..., 0], slots[..., 1], mask)
+
+
+def pack_slots(parts: Sequence[CandidateSlots]) -> CandidateSlots:
+    """Several sentences' slots as one, their rows one after another, padded to the widest."""
+    if len(parts) == 1:
+        return parts[0]
+    n_rows = sum(len(p.mask) for p in parts)
+    width = max(p.mask.shape[1] for p in parts)
+    packed = CandidateSlots(*(np.zeros((n_rows, width), dtype=a.dtype) for a in parts[0]))
+    start = 0
+    for part in parts:
+        rows, w = part.mask.shape
+        for out, array in zip(packed, part):
+            out[start : start + rows, :w] = array
+        start += rows
+    return packed

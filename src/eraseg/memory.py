@@ -7,10 +7,12 @@ the keys and the cell output is the probability-weighted sum of the value
 embeddings.  A character with no candidates reads a zero vector, neutral
 under both fusion modes.
 
-A read covers a whole sentence, over the padded (T, width) candidate slots
-that lexicon.extract_candidates builds once per sentence: memory grows with
-T * width, not with T * (candidates in the sentence).  It is one autodiff node: a numpy forward pass over the slots (padded slots are masked out of the
-softmax) whose backward pass is the softmax-attention gradient.
+A read covers a whole sentence, or a packed batch of them, over the padded
+(T, width) candidate slots that lexicon.extract_candidates builds once per
+sentence: memory grows with T * width, not with T * (candidates in the
+sentence).  It is one autodiff node: a numpy forward pass over the slots
+(padded slots are masked out of the softmax) whose backward pass is the
+softmax-attention gradient.
 """
 
 from __future__ import annotations
@@ -68,18 +70,32 @@ def attend(states: Tensor, slots: CandidateSlots, key_table: Tensor) -> np.ndarr
 
 
 def read_cell(
-    states: Tensor, slots: CandidateSlots, key_table: Tensor, value_table: Tensor
+    states: Tensor,
+    slots: CandidateSlots,
+    key_table: Tensor | Sequence[Tensor],
+    value_table: Tensor,
+    table_of_row: np.ndarray | None = None,
 ) -> Tensor:
-    """One era's memory output for a whole sentence, (T, d_a) from (T, d_a) states, as one node.
+    """A memory read for every row of states, (R, d_a) from (R, d_a) states, as one node.
 
-    The backward pass is the softmax-attention gradient: with dp the output
+    key_table is one era's key table, or with table_of_row one table per
+    era: row i's candidate ids then index key_table[table_of_row[i]], so a
+    batch whose sentences each read their own era is one read.  The
+    backward pass is the softmax-attention gradient: with dp the output
     gradient's dot product with each slot's value row, a slot's score
     gradient is p * (dp - sum over the row of p * dp), and it flows to the
     state and to the slot's key.
     """
     _check_rows(states, slots)
     word_ids, classes, mask = slots
-    keys = key_table.value[word_ids]  # (T, width, d_a)
+    if table_of_row is None:
+        tables, picks = (key_table,), [slice(None)]
+    else:
+        tables = tuple(key_table)
+        picks = [table_of_row == d for d in range(len(tables))]
+    keys = np.empty(word_ids.shape + (value_table.shape[1],))  # (R, width, d_a)
+    for table, picked in zip(tables, picks):
+        keys[picked] = table.value[word_ids[picked]]
     weights = _softmax(np.einsum("td,twd->tw", states.value, keys), mask)
     rows = np.arange(len(mask))[:, None]
     class_mass = np.zeros((len(mask), N_VALUE_CLASSES))  # row i's weight on each value class
@@ -90,6 +106,8 @@ def read_cell(
         dp = (g @ value_table.value.T)[rows, classes]
         ds = weights * (dp - (dp * weights).sum(axis=1, keepdims=True))
         states.grad += np.einsum("tw,twd->td", ds, keys)
-        np.add.at(key_table.grad, word_ids, ds[..., None] * states.value[:, None, :])
+        d_keys = ds[..., None] * states.value[:, None, :]
+        for table, picked in zip(tables, picks):
+            np.add.at(table.grad, word_ids[picked], d_keys[picked])
 
-    return Tensor(class_mass @ value_table.value, (states, key_table, value_table), backward)
+    return Tensor(class_mass @ value_table.value, (states, *tables, value_table), backward)

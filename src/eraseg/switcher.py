@@ -7,7 +7,8 @@ probability-weighted sum.  The era loss and the soft sum are one autodiff
 node each, with a hand-written backward pass.
 The chosen memory output is fused with the hidden states through one
 affine layer, by element-wise sum or by concatenation.  Cells and states
-are (T, d_a) matrices, one row per character of a sentence.
+are (T, d_a) matrices, one row per character of a sentence or of a packed
+batch of sentences.
 """
 
 from __future__ import annotations
@@ -60,31 +61,41 @@ def era_logits(h_sentence: Tensor, params: DiscriminatorParams) -> Tensor:
 
 
 def classify_era(logits: Tensor) -> Tensor:
-    """Distribution over eras from one sentence's (1, E) era logits; sums to 1."""
+    """Distribution over eras from each row of (B, E) era logits; each row sums to 1."""
     return ad.softmax_row(logits)
 
 
-def discriminator_nll(logits: Tensor, gold_era: int) -> Tensor:
-    """Cross-entropy of the gold era under the (1, E) era logits, -log p(gold), as one node.
+def discriminator_nll(logits: Tensor, gold_eras: int | Sequence[int]) -> Tensor:
+    """Cross-entropy of each sentence's gold era under its row of the (B, E)
+    era logits, -log p(gold), as one (B, 1) node.
 
-    Its backward pass gives the logits the softmax minus the one-hot gold era.
+    Its backward pass gives each row of logits the softmax minus the
+    one-hot gold era.
     """
-    if not (0 <= gold_era < logits.shape[1]):
-        raise ValueError(f"era id {gold_era} out of range for {logits.shape[1]} eras")
-    shifted = logits.value - logits.value.max()
+    eras = np.asarray(gold_eras, dtype=np.intp).reshape(-1)
+    n, n_eras = logits.shape
+    if len(eras) != n:
+        raise ValueError(f"{len(eras)} gold eras for {n} rows of era logits")
+    bad = eras[(eras < 0) | (eras >= n_eras)]
+    if bad.size:
+        raise ValueError(f"era id {bad[0]} out of range for {n_eras} eras")
+    rows = np.arange(n)
+    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum()
+    total = e.sum(axis=1, keepdims=True)
 
     def backward(g):
         d_logits = e / total
-        d_logits[0, gold_era] -= 1.0
-        logits.grad += g[0, 0] * d_logits
+        d_logits[rows, eras] -= 1.0
+        logits.grad += g * d_logits
 
-    return Tensor([[np.log(total) - shifted[0, gold_era]]], (logits,), backward)
+    return Tensor(np.log(total) - shifted[rows, eras][:, None], (logits,), backward)
 
 
 def predicted_era(era_probs: Tensor) -> int:
-    """Argmax era; ties go to the lowest index."""
+    """Argmax era of one (1, E) distribution; ties go to the lowest index."""
+    if era_probs.shape[0] != 1:
+        raise ValueError(f"one era distribution expected, got shape {era_probs.shape}")
     return int(np.argmax(era_probs.value[0]))
 
 
@@ -121,12 +132,14 @@ def switch(
 ) -> Tensor:
     """Combine the per-era memory outputs into one matrix, as route decides.
 
-    Soft mode's sum over eras is one node.  Its backward pass gives each
-    cell p_d times the output gradient, and each p_d the cell's dot
-    product with that gradient.
+    era_probs holds one distribution per row of the cells, or a single
+    (1, E) one for them all.  Soft mode's sum over eras is one node.  Its
+    backward pass gives each cell p_d times the output gradient, and each
+    p_d the cell's dot product with that gradient, row by row.
     """
     cells = list(cell_outputs)
-    if era_probs.shape != (1, len(cells)):
+    n_rows = cells[0].shape[0] if cells else 0
+    if era_probs.shape[1] != len(cells) or era_probs.shape[0] not in (1, n_rows):
         raise ValueError(f"{len(cells)} cells but era distribution of shape {era_probs.shape}")
     d = route(mode, era_probs, gold_era, training)
     if d is not None:
@@ -134,14 +147,15 @@ def switch(
             raise ValueError(f"era id {d} out of range for {len(cells)} cells")
         return cells[d]
     stacked = np.stack([c.value for c in cells])  # (E, T, d_a)
-    probs = era_probs.value[0]
+    probs = era_probs.value
 
     def backward(g):
-        era_probs.grad[0] += np.einsum("etd,td->e", stacked, g)
-        for p, c in zip(probs, cells):
-            c.grad += p * g
+        d_probs = np.einsum("etd,td->te", stacked, g)
+        era_probs.grad += d_probs if len(probs) == n_rows else d_probs.sum(axis=0)
+        for e, c in enumerate(cells):
+            c.grad += probs[:, e : e + 1] * g
 
-    return Tensor(np.einsum("e,etd->td", probs, stacked), (era_probs, *cells), backward)
+    return Tensor(np.einsum("te,etd->td", probs, stacked), (era_probs, *cells), backward)
 
 
 def fuse(cell: Tensor, states: Tensor, params: FusionParams, mode: str) -> Tensor:

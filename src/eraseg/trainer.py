@@ -1,21 +1,25 @@
 """Joint training of the segmenter and the era discriminator.
 
-Each sentence builds one autodiff graph: encode, read the per-era
-memories, switch, fuse, then score tags with the CRF; the sentence loss is
-alpha * tagging_nll + (1 - alpha) * era_nll.  Gradients accumulate over a
-batch of such graphs (mean loss), get clipped at a global norm, and feed
-Adam.  Everything is seeded and single-threaded so a (config, data) pair
-reproduces its checkpoint bit for bit.
+Each optimizer step builds one autodiff graph over a batch of sentences,
+packed one after another into one matrix: encode, read the per-era
+memories, switch, fuse, then score tags with the CRF.  Only the encoder,
+the CRF and the era loss see where one sentence ends and the next begins.
+The loss is the batch mean of alpha * tagging_nll + (1 - alpha) * era_nll;
+one backward pass gives its gradients, which get clipped at a global norm
+and feed Adam.  Inference runs the same graph, forward only, on a batch of
+one sentence.  Everything is seeded and single-threaded so a (config,
+data) pair reproduces its checkpoint bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .corpus import TAG_TO_ID, TAGS, RawCorpus, Vocab, bmes_to_words, preprocess
 from .crf import CrfParams, emissions, init_crf_params, nll, viterbi
 from .encoder import EncoderParams, encode, init_encoder_params
 from .errors import ConfigError, DataError, NumericError
-from .lexicon import CandidateSlots, EraLexicon, build_lexicon, extract_candidates
+from .lexicon import CandidateSlots, EraLexicon, build_lexicon, extract_candidates, pack_slots
 from .lexicon import check_words, decode_words, encode_words  # the word-list codec
 from .memory import MemoryParams, init_memory_params, read_cell
 from .metrics import score_segmentation
@@ -116,51 +120,73 @@ def prepare_sentence(
 
 def _assemble_features(
     params: ModelParams,
-    prep: PreparedSentence,
+    batch: Sequence[PreparedSentence],
     config: Config,
     states: Tensor,
-    era: int | None,
+    eras: Sequence[int] | None,
     era_probs: Tensor | None,
 ) -> Tensor:
-    """Fused features of the (T, d_a) states, as a (T, d_a) matrix.
+    """Fused features of the batch's packed (sum of T, d_a) states, as a
+    matrix of the same shape.
 
-    The sentence reads era's memory cell, or with era None (see
+    Sentence b reads era eras[b]'s memory cell, or with eras None (see
     switcher.route) every cell, switched by era_probs.  With the memory
     disabled the cell output is pinned to zero and only the fusion layer runs.
     """
     memory = params.memory
     if not config.memory_enabled:
         cell = Tensor(np.zeros(states.shape))
-    elif era is not None:
-        cell = read_cell(states, prep.candidates[era], memory.keys[era], memory.values)
+    elif eras is not None:
+        slots = pack_slots([prep.candidates[d] for prep, d in zip(batch, eras)])
+        if len(set(eras)) == 1:  # one key table serves every row
+            cell = read_cell(states, slots, memory.keys[eras[0]], memory.values)
+        else:
+            table_of_row = np.repeat(eras, [len(prep.chars) for prep in batch])
+            cell = read_cell(states, slots, memory.keys, memory.values, table_of_row)
     else:
-        cells = [
-            read_cell(states, prep.candidates[d], memory.keys[d], memory.values)
-            for d in range(config.eras)
-        ]
+        cells = []
+        for d in range(config.eras):
+            slots = pack_slots([prep.candidates[d] for prep in batch])
+            cells.append(read_cell(states, slots, memory.keys[d], memory.values))
         cell = switch(cells, era_probs, config.switch_mode)
     return fuse(cell, states, params.fusion, config.fusion)
 
 
 def sentence_loss(
-    params: ModelParams, prep: PreparedSentence, config: Config
-) -> tuple[Tensor, float, float]:
-    """Joint training loss for one sentence: (loss, tagging nll, era nll)."""
-    if prep.tags is None or prep.era_id is None:
-        raise ValueError("training requires gold tags and a gold era")
-    if not (0 <= prep.era_id < config.eras):
-        raise DataError(f"era id {prep.era_id} out of range for {config.eras} eras")
-    h_sent, states = encode(prep.char_ids, params.encoder)
+    params: ModelParams, batch: Sequence[PreparedSentence], config: Config
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Joint training loss of a batch, as one graph: (loss, tagging nll, era nll).
+
+    The loss is the mean over the batch's sentences of
+    alpha * tagging_nll + (1 - alpha) * era_nll; the two arrays hold each
+    sentence's own terms.
+    """
+    for prep in batch:
+        if prep.tags is None or prep.era_id is None:
+            raise ValueError("training requires gold tags and a gold era")
+        if not (0 <= prep.era_id < config.eras):
+            raise DataError(f"era id {prep.era_id} out of range for {config.eras} eras")
+    gold_eras = [prep.era_id for prep in batch]
+    lengths = [len(prep.chars) for prep in batch]
+    h_sent, states = encode([prep.char_ids for prep in batch], params.encoder)
     logits = era_logits(h_sent, params.disc)
-    disc_loss = discriminator_nll(logits, prep.era_id)
-    era = route(config.switch_mode, None, prep.era_id, training=True)
-    era_probs = None
-    if era is None and config.memory_enabled:
-        era_probs = classify_era(logits)
-    feats = _assemble_features(params, prep, config, states, era, era_probs)
-    cws_loss = nll(emissions(feats, params.crf), params.crf.transitions, prep.tags)
-    loss = ad.add(ad.scale(cws_loss, config.alpha), ad.scale(disc_loss, 1.0 - config.alpha))
-    return loss, float(cws_loss.value[0, 0]), float(disc_loss.value[0, 0])
+    disc_loss = discriminator_nll(logits, gold_eras)
+    # Hard switching reads each sentence's gold era (see switcher.route);
+    # soft switching blends every era by each row's sentence's distribution.
+    reads, era_probs = gold_eras, None
+    if config.switch_mode == "soft":
+        reads = None
+        if config.memory_enabled:
+            sentence_of_row = np.repeat(np.arange(len(batch)), lengths)
+            era_probs = ad.gather_rows(classify_era(logits), sentence_of_row)
+    feats = _assemble_features(params, batch, config, states, reads, era_probs)
+    tags = [y for prep in batch for y in prep.tags]
+    cws_loss = nll(emissions(feats, params.crf), params.crf.transitions, tags, lengths)
+    share = 1.0 / len(batch)
+    cws_term = ad.scale(cws_loss, config.alpha * share)
+    era_term = ad.scale(disc_loss, (1.0 - config.alpha) * share)
+    loss = ad.sum_all(ad.add(cws_term, era_term))
+    return loss, cws_loss.value[:, 0], disc_loss.value[:, 0]
 
 
 def predict_sentence(
@@ -171,7 +197,7 @@ def predict_sentence(
 
     force_era overrides the classifier and routes that era's memory.
     """
-    h_sent, states = encode(prep.char_ids, params.encoder)
+    h_sent, states = encode([prep.char_ids], params.encoder)
     era_probs = classify_era(era_logits(h_sent, params.disc))
     if force_era is not None:
         if not (0 <= force_era < config.eras):
@@ -179,7 +205,8 @@ def predict_sentence(
         era = read = force_era
     else:
         era, read = predicted_era(era_probs), route(config.switch_mode, era_probs)
-    feats = _assemble_features(params, prep, config, states, read, era_probs)
+    reads = None if read is None else [read]
+    feats = _assemble_features(params, [prep], config, states, reads, era_probs)
     emit = emissions(feats, params.crf)
     tags, _ = viterbi(emit.value, params.crf.transitions.value)
     words = bmes_to_words(prep.chars, [TAGS[t] for t in tags])
@@ -238,6 +265,20 @@ def clip_global_norm(tensors: Sequence[Tensor], max_norm: float) -> float:
 # Training loop
 
 
+@contextlib.contextmanager
+def numeric_guard(describe: Callable[[], str]) -> Iterator[None]:
+    """Raise a numpy overflow, 0/0 or division by zero inside as NumericError.
+
+    The error reads describe() followed by numpy's message; describe is
+    called when the error happens, so it can name the work then running.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{describe()}: {exc}") from exc
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -245,6 +286,9 @@ class EpochStats:
     mean_cws: float
     mean_disc: float
     dev_f1: float | None
+    max_grad_norm: float  # the largest global gradient norm before clipping
+    clipped_steps: int  # optimizer steps whose gradients were clipped
+    steps: int  # optimizer steps in the epoch
 
 
 def split_corpus(corpus: RawCorpus, dev_fraction: float, seed: int) -> tuple[RawCorpus, RawCorpus]:
@@ -329,33 +373,36 @@ def train(
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(prepared))
-        sum_loss = sum_cws = sum_disc = 0.0
-        idx = None  # the sentence being trained on; None during dev evaluation
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for chunk_start in range(0, len(order), config.batch):
-                    chunk = order[chunk_start : chunk_start + config.batch]
-                    for idx in chunk:
-                        loss, cws_value, disc_value = sentence_loss(params, prepared[idx], config)
-                        sum_loss += float(loss.value[0, 0])
-                        sum_cws += cws_value
-                        sum_disc += disc_value
-                        ad.scale(loss, 1.0 / len(chunk)).backward()
-                    clip_global_norm(tensors, GRAD_CLIP_NORM)
-                    opt.step()
-                    opt.zero_grads()
-                idx = None
-                dev_f1 = None if dev_prepared is None else _dev_f1(params, dev_prepared, config)
-        except FloatingPointError as exc:
-            where = "dev evaluation" if idx is None else f"sentence {int(idx)}"
-            raise NumericError(f"training diverged at epoch {epoch}, {where}: {exc}") from exc
+        sum_loss = sum_cws = sum_disc = max_norm = 0.0
+        clipped = steps = 0
+        with numeric_guard(lambda: f"training diverged at epoch {epoch}, {where}"):
+            for chunk_start in range(0, len(order), config.batch):
+                chunk = order[chunk_start : chunk_start + config.batch]
+                where = f"sentence {int(chunk[0])} (first of a batch of {len(chunk)})"
+                loss, cws, disc = sentence_loss(params, [prepared[i] for i in chunk], config)
+                loss.backward()
+                sum_loss += float(loss.value[0, 0]) * len(chunk)
+                sum_cws += float(cws.sum())
+                sum_disc += float(disc.sum())
+                norm = clip_global_norm(tensors, GRAD_CLIP_NORM)
+                max_norm = max(max_norm, norm)
+                clipped += norm > GRAD_CLIP_NORM
+                steps += 1
+                opt.step()
+                opt.zero_grads()
+            where = "dev evaluation"
+            dev_f1 = None if dev_prepared is None else _dev_f1(params, dev_prepared, config)
 
         if dev_f1 is not None and (best_f1 is None or dev_f1 > best_f1):
             best_f1, best_epoch = dev_f1, epoch
             best_values = [t.value.copy() for t in tensors]
         n = len(prepared)
         if on_epoch is not None:
-            on_epoch(EpochStats(epoch, sum_loss / n, sum_cws / n, sum_disc / n, dev_f1))
+            on_epoch(
+                EpochStats(
+                    epoch, sum_loss / n, sum_cws / n, sum_disc / n, dev_f1, max_norm, clipped, steps
+                )
+            )
 
     if best_values is not None:
         for t, value in zip(tensors, best_values):
@@ -393,7 +440,8 @@ def segment(text: str, ckpt: "Checkpoint", force_era: int | None = None) -> Segm
     prep = prepare_sentence(
         [clean], None, ckpt.vocab, ckpt.lexicons, ckpt.config.max_ngram, with_tags=False
     )
-    words, era, probs = predict_sentence(ckpt.params, prep, ckpt.config, force_era=force_era)
+    with numeric_guard(lambda: "segmenting failed"):
+        words, era, probs = predict_sentence(ckpt.params, prep, ckpt.config, force_era=force_era)
     return Segmentation(words=words, era=era, era_probs=tuple(float(p) for p in probs))
 
 

@@ -22,7 +22,7 @@ from eraseg.autodiff import Tensor, named_tensors
 from eraseg.config import Config
 from eraseg.corpus import Vocab, make_synthetic_corpus
 from eraseg.crf import log_partition, nll, viterbi
-from eraseg.encoder import GruCell, run_gru
+from eraseg.encoder import GruCell, run_bigru
 from eraseg.lexicon import V_B, V_E, V_S, build_lexicon
 from eraseg.memory import read_cell
 from eraseg.metrics import machine_line, oov_recall, score_segmentation
@@ -119,8 +119,9 @@ def _op_cases(rng):
         [],
         [(0, V_E), (4, V_B), (1, V_S)],
     ])
-    # input rows, then a GRU cell's six parameters (d_in = 4, k = 3)
-    gru_args = (t(5, 4), t(4, 6), t(3, 6), t(1, 6), t(4, 3), t(3, 3), t(1, 3))
+    # the input rows of three sentences (3, 1 and 1 rows), then the forward
+    # and the reverse GRU cell's six parameters each (d_in = 4, k = 3)
+    gru_args = (t(5, 4), *(t(*s) for s in [(4, 6), (3, 6), (1, 6), (4, 3), (3, 3), (1, 3)] * 2))
     return [
         ("add", lambda x, y: ad.add(x, y), (a, b)),
         ("add broadcast", lambda x, y: ad.add(x, y), (a, row)),
@@ -132,17 +133,21 @@ def _op_cases(rng):
         ("sum_all", lambda x: ad.sum_all(x), (a,)),
         ("tanh", lambda x: ad.tanh(x), (a,)),
         ("softmax_row", lambda x: ad.softmax_row(x), (probs,)),
-        ("gru forward", lambda x, *cell: run_gru(x, GruCell(*cell)), gru_args),
-        ("gru reverse", lambda x, *cell: run_gru(x, GruCell(*cell), reverse=True), gru_args),
+        (
+            "bigru ragged",
+            lambda x, *w: run_bigru(x, [3, 1, 1], GruCell(*w[:6]), GruCell(*w[6:])),
+            gru_args,
+        ),
         ("read_cell ragged", lambda s, k, v: read_cell(s, ragged, k, v), (a, t(5, 4), t(4, 4))),
         (
-            "discriminator_nll",
-            lambda h, w, c: discriminator_nll(era_logits(h, DiscriminatorParams(w, c)), 1),
-            (t(1, 4), t(4, 3), t(1, 3)),
+            "discriminator_nll batch",
+            lambda h, w, c: discriminator_nll(era_logits(h, DiscriminatorParams(w, c)), [1, 0]),
+            (t(2, 4), t(4, 3), t(1, 3)),
         ),
         ("switch soft", lambda p, *cells: switch(cells, p, "soft"), (t(1, 3), a, b, t(3, 4))),
+        ("switch soft per row", lambda p, *cells: switch(cells, p, "soft"), (t(3, 3), a, b, t(3, 4))),
         ("log_partition", lambda x, y: log_partition(x, y), (a, t(5, 4))),
-        ("nll", lambda x, y: nll(x, y, [0, 3, 1]), (a, t(5, 4))),
+        ("nll batch", lambda x, y: nll(x, y, [0, 3, 1], [2, 1]), (a, t(5, 4))),
     ]
 
 
@@ -166,7 +171,7 @@ def test_criterion_2_gradient_integrity(tiny_world):
             config = replace(TINY, switch_mode=switch_mode, fusion=fusion)
             params = fresh_params(config, vocab, lexicons)
             err = ad.grad_check(
-                lambda: sentence_loss(params, prep, config)[0], params.tensors()
+                lambda: sentence_loss(params, [prep], config)[0], params.tensors()
             )
             assert err < 1e-4, f"{switch_mode}+{fusion}: worst relative error {err:.3e}"
 
@@ -188,7 +193,7 @@ def test_criterion_3_switch_equivalences(tiny_world):
     vocab, lexicons, prep = tiny_world
     config = replace(TINY, switch_mode="hard", alpha=1.0)
     params = fresh_params(config, vocab, lexicons)
-    loss, _, _ = sentence_loss(params, prep, config)
+    loss, _, _ = sentence_loss(params, [prep], config)
     loss.backward()
     for name, tensor in named_tensors(params):
         if name.startswith("disc."):
@@ -203,7 +208,7 @@ def test_criterion_4_loss_and_soft_switch_arithmetic(tiny_world):
 
     vocab, lexicons, prep = tiny_world
     config = replace(TINY, alpha=0.7)
-    loss, cws_val, disc_val = sentence_loss(fresh_params(config, vocab, lexicons), prep, config)
+    loss, (cws_val,), (disc_val,) = sentence_loss(fresh_params(config, vocab, lexicons), [prep], config)
     assert abs(loss.value[0, 0] - (0.7 * cws_val + 0.3 * disc_val)) < 1e-12
 
     rng = np.random.default_rng(44)

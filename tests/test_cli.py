@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from eraseg.autodiff import named_tensors
 from eraseg.cli import main
 from eraseg.corpus import make_synthetic_corpus
 from eraseg.trainer import Checkpoint
@@ -239,6 +240,24 @@ class TestTrain:
         assert "resolved config:" in captured.err
         assert "epoch 1:" in captured.err
 
+    def test_epoch_line_reports_gradient_norm_and_clipping(self, workspace, tmp_path, capsys):
+        rc = main(
+            ["train", f"0={workspace / 'train0.txt'}", f"1={workspace / 'train1.txt'}",
+             "--out", str(tmp_path / "m.ckpt"), *COMMON, "--set", "batch=4"]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        n_train = int(re.search(r"training on (\d+) sentences", err).group(1))
+        line = re.search(
+            r"^epoch 1: loss=\S+ cws=\S+ disc=\S+ dev_f1=\S+ grad_norm=(\S+) clipped=(\d+)/(\d+)$",
+            err, re.M,
+        )
+        assert line is not None, err
+        norm, clipped, steps = float(line.group(1)), int(line.group(2)), int(line.group(3))
+        assert steps == -(-n_train // 4)
+        assert 0 <= clipped <= steps
+        assert 0.0 < norm < float("inf")
+
     def test_with_prebuilt_dicts(self, workspace, tmp_path, capsys):
         dicts = tmp_path / "dicts"
         assert main(
@@ -268,6 +287,34 @@ class TestTrain:
         assert "RuntimeWarning" not in err
         assert "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize("command", ["segment", "eval"])
+    def test_huge_finite_weights_exit_3_without_raw_warnings(self, workspace, tmp_path, command):
+        # Weights of 1e306 pass the checkpoint's checks but overflow the
+        # first matmul.  A subprocess, so numpy warnings reach stderr as a
+        # user sees them.
+        ckpt = Checkpoint.load(Path(__file__).parent / "data" / "golden_hard.ckpt")
+        for _, tensor in named_tensors(ckpt.params):
+            tensor.value *= 1e306
+        huge = tmp_path / "huge.ckpt"
+        huge.write_bytes(ckpt.to_bytes())
+        if command == "segment":
+            args = [str(segmentable(workspace))]
+        else:
+            args = [f"0={workspace / 'test0.txt'}", f"1={workspace / 'test1.txt'}"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "eraseg", command, *args, "--checkpoint", str(huge)],
+            capture_output=True,
+        )
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 3
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "overflow" in errors[0]
+        assert "RuntimeWarning" not in err
+        assert "Traceback" not in err
+        assert proc.stdout == b""
 
 
 class TestSegment:

@@ -205,6 +205,43 @@ class TestNll:
         assert err < 1e-4
 
 
+class TestPackedNll:
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_and_gradients_match_each_sentence(self, lengths, seed):
+        # Each sentence's loss gets its own weight, so a gradient that mixed
+        # sentences up would show.
+        rng = np.random.default_rng(seed)
+        emit = rng.normal(size=(sum(lengths), N_LABELS)) * 2.0
+        trans = rng.normal(size=(N_LABELS + 1, N_LABELS)) * 2.0
+        tags = list(rng.integers(0, N_LABELS, size=sum(lengths)))
+        weights = rng.normal(size=(len(lengths), 1))
+        emit_t, trans_t = Tensor(emit), Tensor(trans)
+        packed = nll(emit_t, trans_t, tags, lengths)
+        ad.sum_all(ad.mul(packed, Tensor(weights))).backward()
+
+        want_emit, want_trans = np.zeros_like(emit), np.zeros_like(trans)
+        start = 0
+        for b, n in enumerate(lengths):
+            rows = slice(start, start + n)
+            one_emit, one_trans = Tensor(emit[rows]), Tensor(trans)
+            one = nll(one_emit, one_trans, tags[rows])
+            assert abs(packed.value[b, 0] - one.value[0, 0]) < 1e-12 * max(1.0, one.value[0, 0])
+            ad.scale(one, weights[b, 0]).backward()
+            want_emit[rows] = one_emit.grad
+            want_trans += one_trans.grad
+            start += n
+        np.testing.assert_allclose(emit_t.grad, want_emit, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(trans_t.grad, want_trans, rtol=0, atol=1e-10)
+
+    def test_lengths_must_pack_the_rows(self):
+        emit, trans = random_instance(4)
+        for lengths in ([3], [2, 0, 2], []):
+            with pytest.raises(ValueError, match="do not pack"):
+                nll(Tensor(emit), Tensor(trans), [0, 1, 2, 3], lengths)
+
+
 class TestViterbi:
     def test_emissions_favoring_s_give_all_s(self):
         emit = np.zeros((4, 4))

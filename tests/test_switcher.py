@@ -50,13 +50,27 @@ class TestClassifyEra:
     def test_confident_correct_prediction_has_near_zero_loss(self):
         p = DiscriminatorParams(weight=Tensor(np.zeros((2, 2))), bias=Tensor([[50.0, 0.0]]))
         h = Tensor([[0.0, 0.0]])
-        assert discriminator_nll(era_logits(h, p), gold_era=0).value[0, 0] < 1e-12
-        assert discriminator_nll(era_logits(h, p), gold_era=1).value[0, 0] > 10.0
+        assert discriminator_nll(era_logits(h, p), gold_eras=0).value[0, 0] < 1e-12
+        assert discriminator_nll(era_logits(h, p), gold_eras=1).value[0, 0] > 10.0
+
+    def test_batch_rows_match_each_sentence(self):
+        # One row of logits per sentence, each loss with its own weight.
+        logits = RNG.normal(size=(3, 4)) * 3
+        eras, weights = [2, 0, 2], RNG.normal(size=(3, 1))
+        batch = Tensor(logits)
+        out = discriminator_nll(batch, eras)
+        ad.sum_all(ad.mul(out, Tensor(weights))).backward()
+        for b, era in enumerate(eras):
+            row = Tensor(logits[b : b + 1])
+            one = discriminator_nll(row, era)
+            assert abs(out.value[b, 0] - one.value[0, 0]) < 1e-12
+            ad.scale(one, weights[b, 0]).backward()
+            np.testing.assert_allclose(batch.grad[b : b + 1], row.grad, rtol=0, atol=1e-12)
 
     def test_bad_era_id_rejected(self):
         p = init_discriminator_params(RNG, d_a=2, n_eras=2)
         with pytest.raises(ValueError, match="out of range"):
-            discriminator_nll(era_logits(Tensor(np.zeros((1, 2))), p), gold_era=2)
+            discriminator_nll(era_logits(Tensor(np.zeros((1, 2))), p), gold_eras=2)
 
     def test_too_few_eras_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -92,47 +92,51 @@ class TestSentenceLoss:
     def test_joint_loss_combines_with_alpha(self):
         config = tiny_config(alpha=0.7)
         _, _, _, params, prepared = tiny_setup(config)
-        loss, cws, disc = sentence_loss(params, prepared[0], config)
-        assert loss.value[0, 0] == pytest.approx(0.7 * cws + 0.3 * disc, abs=1e-12)
+        loss, cws, disc = sentence_loss(params, prepared[:1], config)
+        assert loss.value[0, 0] == pytest.approx(0.7 * cws[0] + 0.3 * disc[0], abs=1e-12)
 
     def test_era_out_of_range_rejected(self):
         config = tiny_config()
         _, vocab, lexicons, params, _ = tiny_setup(config)
         bad = prepare_sentence(["山水"], 7, vocab, lexicons, config.max_ngram)
         with pytest.raises(DataError, match="era id 7"):
-            sentence_loss(params, bad, config)
+            sentence_loss(params, [bad], config)
 
     def test_untagged_sentence_rejected(self):
         config = tiny_config()
         _, vocab, lexicons, params, _ = tiny_setup(config)
         prep = prepare_sentence(["山水"], 0, vocab, lexicons, config.max_ngram, with_tags=False)
         with pytest.raises(ValueError, match="gold"):
-            sentence_loss(params, prep, config)
+            sentence_loss(params, [prep], config)
 
     @pytest.mark.parametrize("switch_mode", ["hard", "soft"])
     @pytest.mark.parametrize("fusion", ["sum", "concat"])
     def test_loss_is_finite_in_all_mode_pairs(self, switch_mode, fusion):
         config = tiny_config(switch_mode=switch_mode, fusion=fusion)
         _, _, _, params, prepared = tiny_setup(config)
-        loss, cws, disc = sentence_loss(params, prepared[0], config)
+        loss, cws, disc = sentence_loss(params, prepared[:3], config)
         assert np.isfinite(loss.value[0, 0])
-        assert cws >= 0 and disc >= 0
+        assert (cws >= 0).all() and (disc >= 0).all()
 
     def test_full_model_gradients_hard_and_soft(self):
         # Small dims keep the finite-difference sweep fast; the acceptance
-        # suite re-runs this over every mode pair.
+        # suite re-runs this over every mode pair.  The batch mixes eras
+        # and lengths.
         for switch_mode in ("hard", "soft"):
             config = tiny_config(switch_mode=switch_mode, d_e=4, d_a=4)
             _, vocab, lexicons, params, _ = tiny_setup(config, n_sentences=8)
-            prep = prepare_sentence(["之山", "水"], 0, vocab, lexicons, config.max_ngram)
+            batch = [
+                prepare_sentence(["之山", "水"], 0, vocab, lexicons, config.max_ngram),
+                prepare_sentence(["水"], 1, vocab, lexicons, config.max_ngram),
+            ]
             leaves = params.tensors()
-            err = ad.grad_check(lambda: sentence_loss(params, prep, config)[0], leaves)
+            err = ad.grad_check(lambda: sentence_loss(params, batch, config)[0], leaves)
             assert err < 1e-4, f"{switch_mode}: worst error {err}"
 
     def test_alpha_one_hard_mode_gives_discriminator_zero_grads(self):
         config = tiny_config(alpha=1.0, switch_mode="hard")
         _, _, _, params, prepared = tiny_setup(config)
-        loss, _, _ = sentence_loss(params, prepared[0], config)
+        loss, _, _ = sentence_loss(params, prepared[:1], config)
         loss.backward()
         np.testing.assert_array_equal(params.disc.weight.grad, 0.0)
         np.testing.assert_array_equal(params.disc.bias.grad, 0.0)
@@ -140,7 +144,7 @@ class TestSentenceLoss:
     def test_memory_disabled_ignores_memory_params(self):
         config = tiny_config(memory_enabled=False)
         _, _, _, params, prepared = tiny_setup(config)
-        loss, _, _ = sentence_loss(params, prepared[0], config)
+        loss, _, _ = sentence_loss(params, prepared[:1], config)
         loss.backward()
         for table in params.memory.keys:
             np.testing.assert_array_equal(table.grad, 0.0)
@@ -149,13 +153,12 @@ class TestSentenceLoss:
     @pytest.mark.parametrize("switch_mode, limit", [("hard", 20), ("soft", 22)])
     @pytest.mark.parametrize("t_len", [1, 12, 126])
     def test_graph_size_does_not_grow_with_length(self, monkeypatch, switch_mode, limit, t_len):
-        # Every layer is one node, so a sentence's graph has a fixed number
-        # of tensors; a per-position graph would grow with t_len.
+        # Every layer is one node, so a batch's graph has a fixed number of
+        # tensors; a per-position or per-sentence graph would grow with
+        # t_len or with the batch.
         config = tiny_config(switch_mode=switch_mode)
         train_c, vocab, lexicons, params, _ = tiny_setup(config)
-        chars = "".join(w for s in train_c.sentences for w in s.words)[:t_len]
-        assert len(chars) == t_len
-        prep = prepare_sentence(list(chars), 0, vocab, lexicons, config.max_ngram)
+        text = "".join(w for s in train_c.sentences for w in s.words)
         created = []
         init = Tensor.__init__
 
@@ -163,9 +166,83 @@ class TestSentenceLoss:
             created.append(1)
             init(tensor, *args, **kwargs)
 
-        monkeypatch.setattr(Tensor, "__init__", counting_init)
-        sentence_loss(params, prep, config)
-        assert len(created) <= limit
+        for batch_size in (1, 3, 8):
+            batch = [
+                prepare_sentence(list(text[b : b + t_len]), b % 2, vocab, lexicons, config.max_ngram)
+                for b in range(batch_size)
+            ]
+            assert [len(prep.chars) for prep in batch] == [t_len] * batch_size
+            created.clear()
+            monkeypatch.setattr(Tensor, "__init__", counting_init)
+            sentence_loss(params, batch, config)
+            monkeypatch.undo()
+            assert len(created) <= limit, f"batch of {batch_size}"
+
+
+class TestBatchEqualsSentences:
+    """A batch's graph is the mean of its sentences' own graphs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        switch_mode=st.sampled_from(["hard", "soft"]),
+        fusion=st.sampled_from(["sum", "concat"]),
+        memory_enabled=st.booleans(),
+        n_eras=st.integers(2, 4),
+        lengths=st.lists(st.integers(1, Config.max_len + 1), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loss_and_gradients_are_the_mean_of_batches_of_one(
+        self, switch_mode, fusion, memory_enabled, n_eras, lengths, seed
+    ):
+        rng = np.random.default_rng(seed)
+        alphabet = "山水金木火土"
+        config = tiny_config(
+            eras=n_eras, switch_mode=switch_mode, fusion=fusion, memory_enabled=memory_enabled,
+            d_e=4, d_a=4, alpha=0.4,
+        )
+        lexicons = [
+            EraLexicon.from_words(d, {"".join(rng.choice(list(alphabet), n)) for n in (1, 2, 2, 3)})
+            for d in range(n_eras)
+        ]
+        vocab = Vocab(alphabet)
+        params = init_model_params(config, len(vocab), [len(l) for l in lexicons], rng)
+        for t in params.tensors():
+            t.value *= 10.0  # uniform on [-1, 1): the layers leave their near-linear range
+        first_era = int(rng.integers(n_eras))
+        batch = [
+            prepare_sentence(
+                list("".join(rng.choice(list(alphabet), n))), (first_era + b) % n_eras,
+                vocab, lexicons, config.max_ngram,
+            )
+            for b, n in enumerate(lengths)
+        ]
+        tensors = params.tensors()
+
+        loss, cws, disc = sentence_loss(params, batch, config)
+        loss.backward()
+        got = [t.grad.copy() for t in tensors]
+        want = [np.zeros(t.shape) for t in tensors]
+        want_loss, want_cws, want_disc = 0.0, [], []
+        for prep in batch:
+            for t in tensors:
+                t.zero_grad()
+            one, (one_cws,), (one_disc,) = sentence_loss(params, [prep], config)
+            one.backward()
+            want_loss += one.value[0, 0] / len(batch)
+            want_cws.append(one_cws)
+            want_disc.append(one_disc)
+            for acc, t in zip(want, tensors):
+                acc += t.grad / len(batch)
+
+        def close(a, b, what):
+            tol = 1e-10 * max(1.0, np.abs(b).max())
+            np.testing.assert_allclose(a, b, rtol=0, atol=tol, err_msg=what)
+
+        close(loss.value[0, 0], want_loss, "loss")
+        close(cws, want_cws, "tagging nll")
+        close(disc, want_disc, "era nll")
+        for (name, _), a, b in zip(named_tensors(params), got, want):
+            close(a, b, name)
 
 
 class TestPredict:
@@ -233,15 +310,24 @@ class TestTrainLoop:
         _, _, _, params, prepared = tiny_setup(config, n_sentences=4)
         before = {n: t.value.copy() for n, t in named_tensors(params)}
         opt = Adam(params.tensors(), config.lr)
-        for prep in prepared[:2]:
-            loss, _, _ = sentence_loss(params, prep, config)
-            ad.scale(loss, 0.5).backward()
+        loss, _, _ = sentence_loss(params, prepared[:2], config)
+        loss.backward()
         clip_global_norm(params.tensors(), 5.0)
         opt.step()
         for name, tensor in named_tensors(params):
             if name.startswith(("crf.", "fusion.", "memory.")):
                 np.testing.assert_array_equal(tensor.value, before[name], err_msg=name)
         assert not np.array_equal(params.disc.weight.value, before["disc.weight"])
+
+    def test_epoch_stats_count_steps_and_clipping(self, monkeypatch):
+        config = tiny_config(epochs=2, batch=5)
+        corpus, _ = make_synthetic_corpus(7, 24, 2)
+        for clip, clipped in ((1e-9, 5), (1e9, 0)):  # 24 sentences: batches of 5, 5, 5, 5, 4
+            monkeypatch.setattr(trainer_module, "GRAD_CLIP_NORM", clip)
+            stats: list[EpochStats] = []
+            train(corpus, None, config, on_epoch=stats.append)
+            assert [(s.steps, s.clipped_steps) for s in stats] == [(5, clipped)] * 2
+            assert all(0.0 < s.max_grad_norm < np.inf for s in stats)
 
     def test_bad_era_rejected(self):
         corpus = RawCorpus((RawSentence(("山", "水"), 5),), "bad")
@@ -431,6 +517,17 @@ class TestSegment:
         text = "之乎者也山水"
         result = segment(text, ckpt)
         assert "".join(result.words) == text
+
+    def test_huge_finite_weights_raise_numeric_error(self):
+        # Weights of 1e306 load (they are finite and the file is sealed anew),
+        # but the first matmul overflows: a NumericError, not numpy warnings
+        # and a made-up segmentation.
+        ckpt = Checkpoint.load(Path(__file__).parent / "data" / "golden_hard.ckpt")
+        for _, tensor in named_tensors(ckpt.params):
+            tensor.value *= 1e306
+        ckpt = Checkpoint.from_bytes(ckpt.to_bytes())
+        with pytest.raises(NumericError, match="segmenting failed: overflow"):
+            segment("山水金水", ckpt)
 
     def test_era_probs_is_distribution(self, trained):
         ckpt, _ = trained
